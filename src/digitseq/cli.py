@@ -94,7 +94,9 @@ def _cmd_stats(args) -> int:
     values = seqgen.stream(f, index_map, 0, args.N, threads=args.threads)
     hist = normality.block_histogram(values, args.k)
     report = normality.normality_deviation(hist, f.m_prime)
-    comp = normality.subword_complexity(values, min(args.k, values.size - 1))
+    # complexity needs a prefix longer than the window; N = 1 has none
+    n_max = min(args.k, values.size - 1)
+    comp = normality.subword_complexity(values, n_max) if n_max >= 1 else []
     if args.report == "json":
         counts = {"".join(map(str, block)): c
                   for block, c in sorted(hist.counts.items())}
@@ -253,6 +255,8 @@ def _cmd_toolbox(args) -> int:
         if not res.ok:
             raise CheckFailure("Gauss bound violated")
     elif sub == "vaaler":
+        if args.grid < 1:
+            raise ValueError(f"--grid must be >= 1, got {args.grid}")
         vp = analytic.vaaler_build(args.alpha, args.H)
         xs = np.arange(args.grid) / args.grid
         defect = float(vp.defect(xs).max())

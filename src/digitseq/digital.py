@@ -438,10 +438,6 @@ def eval_b_band_many(f: DigitalFunction, xs, mu: int, lam: int) -> np.ndarray:
     return out
 
 
-def eval_b_truncated_many(f: DigitalFunction, xs, lam: int) -> np.ndarray:
-    return eval_b_band_many(f, xs, 0, lam)
-
-
 # ----------------------------------------------------------------------
 # function-spec text files
 #

@@ -21,9 +21,12 @@ Stepping one digit block at a time acts on the offsets through
 and multiplies the summand by the unimodular weight
 v^j(I,eps,delta) = e( sum_l alpha_l b_j(i_l + q^(m-1)(eps + l delta)) ).
 G then satisfies an exact one-block recursion whose d-averaged second
-moments evolve under a dense transfer matrix over pairs (I, I'); row-norm
+moments evolve under a transfer matrix over pairs (I, I'); row-norm
 contraction of windowed products of those matrices is what drives every
-decay statement checked here.  All b-derived phases are exact integers
+decay statement checked here.  The pair matrix is the Kronecker sum
+M(beta) = q^-3 sum_delta A_delta(z) (x) conj(A_delta(z)), z = e(-beta), of
+the one-digit single-index matrices A_delta = M^1_delta, from which every
+transfer matrix here is derived.  All b-derived phases are exact integers
 modulo m'; only the h*u Fourier kernel is floating point, with its
 argument reduced exactly first.
 
@@ -202,49 +205,26 @@ class FourierContext:
     # -- transfer structure --------------------------------------------
 
     def transfer_parts(self):
-        """Constant matrices C_t with M(beta) = sum_t e(-t beta) C_t.
+        """The one-digit step table (C, N) behind every transfer matrix.
 
-        t runs over eps1 - eps2 in [-(q-1), q-1]; also returns the
-        one-step path-count matrix.
+        C[delta, eps] (delta, eps < q) holds v^1(I, eps, delta) at row I,
+        column T^1_{eps,delta}(I); so A_delta(z) = M^1_delta(z) =
+        sum_eps z^eps C[delta, eps], and N[delta] counts the steps I -> J.
+        Every transfer matrix is derived from these.  Cached per context.
         """
-        if self._structure is not None:
-            return self._structure
-        q = self.q
-        Is = self.index_vectors()
-        nI = len(Is)
-        pos = {I: r for r, I in enumerate(Is)}
-        targets = np.empty((nI, q, q), dtype=np.int64)
-        vphase = np.empty((nI, q, q), dtype=np.int64)
-        for r, I in enumerate(Is):
-            for eps in range(q):
-                for delta in range(q):
-                    targets[r, eps, delta] = pos[_T(self, I, eps, delta, 1)]
-                    vphase[r, eps, delta] = weight_v_phase(self, I, eps, delta, 1)
-        npairs = nI * nI
-        parts = {t: np.zeros((npairs, npairs), dtype=np.complex128)
-                 for t in range(-(q - 1), q)}
-        counts = np.zeros((npairs, npairs), dtype=np.int64)
-        w = 1.0 / q ** 3
-        for ra in range(nI):
-            for rb in range(nI):
-                row = ra * nI + rb
-                for delta in range(q):
-                    for e1 in range(q):
-                        for e2 in range(q):
-                            col = targets[ra, e1, delta] * nI + targets[rb, e2, delta]
-                            p = (vphase[ra, e1, delta] - vphase[rb, e2, delta]) % self.m_prime
-                            parts[e1 - e2][row, col] += w * self.roots[p]
-                            counts[row, col] += 1
-        self._structure = (parts, counts)
+        if self._structure is None:
+            q, Is = self.q, self.index_vectors()
+            pos = {I: r for r, I in enumerate(Is)}
+            d, e, _, ell = np.ogrid[:q, :q, :1, :self.k]
+            keys = np.array(Is) + q ** (self.m - 1) * (e + ell * d)  # (d, e, I, l)
+            cols = [pos[tuple(t)] for t in (keys // q).reshape(-1, self.k).tolist()]
+            ph = (self.band_table(1)[keys % q ** self.m]
+                  @ np.array(self.alpha.numerators)) % self.m_prime
+            C = np.zeros((q, q, len(Is), len(Is)), dtype=np.complex128)
+            np.put_along_axis(C, np.reshape(cols, (q, q, -1, 1)),
+                              self.roots[ph][..., None], axis=3)
+            self._structure = (C, (C != 0).sum(axis=1))
         return self._structure
-
-    def transfer_entries(self, beta_num: int, beta_den: int) -> np.ndarray:
-        """Dense M(beta) for the exact phase beta = beta_num/beta_den."""
-        parts, _ = self.transfer_parts()
-        out = np.zeros_like(parts[0])
-        for t, C in parts.items():
-            out += e_frac(-t * beta_num, beta_den) * C
-        return out
 
 
 def make_context(f: DigitalFunction, alpha: AlphaVector, lam: int) -> FourierContext:
@@ -302,22 +282,6 @@ def weight_v_phase(ctx: FourierContext, I, eps: int, delta: int, j: int) -> int:
 def weight_v(ctx: FourierContext, I, eps: int, delta: int, j: int) -> complex:
     """The unimodular recursion weight v^j(I, eps, delta)."""
     return complex(ctx.roots[weight_v_phase(ctx, I, eps, delta, j)])
-
-
-def _vector_targets_phases(ctx, I, eps: np.ndarray, delta: int, j: int):
-    """T targets (as per-coordinate array) and v phases for many eps."""
-    shift = ctx.q ** (ctx.m - 1)
-    p = ctx.q ** j
-    period = ctx.q ** (j + ctx.m - 1)
-    tab = ctx.band_table(j)
-    tgt = np.empty((eps.size, ctx.k), dtype=np.int64)
-    ph = np.zeros(eps.size, dtype=np.int64)
-    for ell, (i, num) in enumerate(zip(I, ctx.alpha.numerators)):
-        keys = i + shift * (eps + ell * delta)
-        tgt[:, ell] = keys // p
-        if num:
-            ph += num * tab[keys % period]
-    return tgt, ph % ctx.m_prime
 
 
 # ----------------------------------------------------------------------
@@ -459,31 +423,46 @@ class TransferMatrix:
         return float(self.row_sums().max())
 
 
+def _digit_matrices(ctx, zpow: np.ndarray) -> np.ndarray:
+    """A_delta(z) for each row of powers z^eps, eps < q: (..., q, nI, nI)."""
+    return np.tensordot(zpow, ctx.transfer_parts()[0], axes=([-1], [1]))
+
+
+def _digit_matrices_at(ctx, nums, dens) -> np.ndarray:
+    """A_delta(e(num/den)) for broadcast arrays of int64 num and den.
+
+    Each phase eps num/den is reduced mod 1 in integers first.
+    """
+    nums, dens = np.asarray(nums)[..., None], np.asarray(dens)[..., None]
+    eps = np.arange(ctx.q, dtype=np.int64)
+    return _digit_matrices(ctx, np.exp(2j * np.pi * (eps * (nums % dens) % dens) / dens))
+
+
+def _kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_delta A_delta (x) B_delta, rows and columns in pair order."""
+    n = A.shape[-1]
+    return np.einsum("dij,dkl->ikjl", A, B).reshape(n * n, n * n)
+
+
 def build_transfer_matrix(ctx: FourierContext, beta) -> TransferMatrix:
     """M(beta) over index-vector pairs, with its path-count companion.
 
-    beta may be a float or an exact (num, den) pair; entries route the
-    q^3 one-digit steps (eps1, eps2, delta) from row (I, I') to column
-    (T(I), T(I')) with weight q^-3 e(-(eps1-eps2) beta) v conj(v).
+    beta may be a float or an exact (num, den) pair.  Routing the q^3
+    one-digit steps (eps1, eps2, delta) from row (I, I') to column
+    (T(I), T(I')) with weight q^-3 e(-(eps1-eps2) beta) v conj(v) gives
+    M(beta) = q^-3 sum_delta A_delta(z) (x) conj(A_delta(z)), z = e(-beta),
+    and path counts sum_delta N_delta (x) N_delta.
     """
-    parts, counts = ctx.transfer_parts()
+    q = ctx.q
     if isinstance(beta, tuple):
-        entries = ctx.transfer_entries(int(beta[0]), int(beta[1]))
+        num, den = int(beta[0]), int(beta[1])
+        zpow = np.array([e_frac(-eps * num, den) for eps in range(q)])
     else:
-        entries = np.zeros_like(parts[0])
-        for t, C in parts.items():
-            entries += np.exp(-2j * np.pi * t * float(beta)) * C
-    return TransferMatrix(entries=entries, index=ctx.pair_labels(),
-                          path_counts=counts.copy())
-
-
-def _window_product(ctx, h: int, ell_hi: int, width: int) -> np.ndarray:
-    """M(h/q^ell_hi) M(h/q^(ell_hi-1)) ... , width consecutive factors."""
-    out = None
-    for ell in range(ell_hi, ell_hi - width, -1):
-        M = ctx.transfer_entries(h, ctx.q ** ell)
-        out = M if out is None else out @ M
-    return out
+        zpow = np.exp(-2j * np.pi * float(beta) * np.arange(q))
+    A = _digit_matrices(ctx, zpow)
+    _, N = ctx.transfer_parts()
+    return TransferMatrix(entries=_kron_sum(A, A.conj()) / q ** 3,
+                          index=ctx.pair_labels(), path_counts=_kron_sum(N, N))
 
 
 def psi_vector(ctx: FourierContext, h: int, lam: int, lam_prime: int) -> np.ndarray:
@@ -491,16 +470,19 @@ def psi_vector(ctx: FourierContext, h: int, lam: int, lam_prime: int) -> np.ndar
 
     Phi_{lam,lam'}^{I,I'}(h) = avg_{d<q^lam'} G^I(h,d) conj(G^I'(h,d))
     equals the lam'-fold product of transfer matrices applied to the
-    depth lam-lam' seed vector.
+    depth lam-lam' seed vector.  On the nI x nI matrix X of that vector,
+    M(beta) acts as X -> q^-3 sum_delta A_delta X A_delta^H.
     """
     if not 0 <= lam_prime <= lam:
         raise ValueError("need 0 <= lam' <= lam")
     Is = ctx.index_vectors()
     base = np.array([fourier_G(ctx, I, h, 0, lam - lam_prime) for I in Is])
-    psi = np.outer(base, base.conjugate()).reshape(-1)
+    X = np.outer(base, base.conjugate())
+    A = _digit_matrices_at(ctx, -h % ctx.q ** lam, ctx.q ** np.arange(1, lam + 1))
     for ell in range(lam - lam_prime + 1, lam + 1):
-        psi = ctx.transfer_entries(h, ctx.q ** ell) @ psi
-    return psi
+        F = A[ell - 1]
+        X = (F @ X @ F.conj().swapaxes(-1, -2)).sum(axis=0) / ctx.q ** 3
+    return X.reshape(-1)
 
 
 def phi_bruteforce(ctx: FourierContext, I, I2, h: int, lam: int,
@@ -537,6 +519,7 @@ class ConditionReport:
     worst_margin: float
     violations: tuple
     wrong_branch: bool = False
+    worst_at: tuple = None      # (h, ell_hi, row) of the worst margin
 
     @property
     def ok(self) -> bool:
@@ -552,10 +535,52 @@ class ConditionReport:
             "h_count": self.h_count,
             "windows_checked": self.windows_checked,
             "worst_margin": self.worst_margin,
+            "worst_at": None if self.worst_at is None else list(self.worst_at),
             "violations": [list(v) for v in self.violations],
             "wrong_branch": self.wrong_branch,
             "ok": self.ok,
         }
+
+
+# Byte cap on the nI^2 x nI^2 window matrices formed at once (docs/DECISIONS.md,
+# 4): RS k=2 at lam=12 takes 10 h at a time, RS k=3 (1.7 MB a window) one.
+_WINDOW_BYTES = 1 << 21
+
+
+def _window_report(ctx, name, h_samples, lam, width, c0, eta, margins_of):
+    """Report on every width-wide window, top ell_hi = lam down to width.
+
+    margins_of(A, tops) maps the digit matrices of a batch of h and some
+    window tops to margins of shape (h, window, row).  The worst margin,
+    where it fell and the first 16 violations are kept in h, then
+    ell_hi order.
+    """
+    if h_samples is None:
+        h_samples = stratified_samples(ctx.q ** (lam + ctx.m - 1), 1 << 10)
+    tops, dens = np.arange(lam, width - 1, -1), ctx.q ** np.arange(1, lam + 1)
+    fit = max(1, _WINDOW_BYTES // (16 * len(ctx.index_vectors()) ** 4))
+    batch, step = max(1, fit // tops.size), min(fit, tops.size)
+    worst, worst_at, violations = math.inf, None, []
+    for start in range(0, len(h_samples), batch):
+        hs = h_samples[start:start + batch]
+        # A[h, ell - 1, delta] = A_delta(e(-h/q^ell)), ell = 1..lam
+        nums = np.array([[-int(h) % ctx.q ** lam] for h in hs])
+        A = _digit_matrices_at(ctx, nums, dens)
+        for part in np.split(tops, range(step, tops.size, step)):
+            margins = margins_of(A, part)
+            lo = margins.min(axis=2)
+            b, w = np.unravel_index(np.argmin(lo), lo.shape)
+            if lo[b, w] < worst:
+                worst = float(lo[b, w])
+                worst_at = (int(hs[b]), int(part[w]), int(margins[b, w].argmin()))
+            for b, w in np.argwhere(lo < -_EXACT_TOL)[:16 - len(violations)]:
+                violations.append((int(hs[b]), int(part[w]),
+                                   int(margins[b, w].argmin()), float(lo[b, w])))
+    return ConditionReport(
+        name=name, lam=lam, window=width, c0=c0, eta=eta,
+        h_count=len(h_samples), windows_checked=len(h_samples) * tops.size,
+        worst_margin=worst, violations=tuple(violations), worst_at=worst_at,
+    )
 
 
 def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> ConditionReport:
@@ -564,35 +589,34 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
     Each row of such a product must either put at least c0 = q^-3m0 / 2
     of absolute mass on the (0,0) column or have absolute row sum at
     most 1 - q^-3m0.  Failures are reported, never raised.
+
+    By the mixed-product rule a window M(h/q^ell_hi) ... M(h/q^ell_lo) is
+    q^-3w sum_s P_s (x) conj(P_s) over the q^w digit sequences s, with
+    P_s = A_{s_1}(z_hi) ... A_{s_w}(z_lo): one GEMM of the stacked P_s.
     """
     ctx.require_nonzero_alpha("condition check")
     lam = ctx.lam if lam is None else lam
     m0 = ctx.m0()
     if lam < m0:
         raise ValueError(f"need lam >= m0 = {m0}")
-    c0 = float(ctx.q) ** (-3 * m0) / 2.0
     eta = float(ctx.q) ** (-3 * m0)
-    if h_samples is None:
-        h_samples = stratified_samples(ctx.q ** (lam + ctx.m - 1), 1 << 10)
-    worst = math.inf
-    violations = []
-    windows = 0
-    for h in h_samples:
-        for ell_hi in range(lam, m0 - 1, -1):
-            A = _window_product(ctx, h, ell_hi, m0)
-            margins = np.maximum(np.abs(A[:, 0]) - c0,
-                                 (1.0 - eta) - np.abs(A).sum(axis=1))
-            windows += 1
-            lo = float(margins.min())
-            if lo < worst:
-                worst = lo
-            if lo < -_EXACT_TOL and len(violations) < 16:
-                violations.append((int(h), int(ell_hi), int(margins.argmin()), lo))
-    return ConditionReport(
-        name="condition1", lam=lam, window=m0, c0=c0, eta=eta,
-        h_count=len(h_samples), windows_checked=windows,
-        worst_margin=worst, violations=tuple(violations),
-    )
+
+    def margins_of(A, tops):
+        H, W, nI = A.shape[0], tops.size, A.shape[-1]
+        P = A[:, tops - 1]
+        for t in range(1, m0):  # every P_s times every A_delta, one product
+            F = A[:, tops - 1 - t].transpose(0, 1, 3, 2, 4).reshape(H, W, nI, -1)
+            P = (P.reshape(H, W, -1, nI) @ F).reshape(H, W, -1, nI, ctx.q, nI)
+            P = P.transpose(0, 1, 2, 4, 3, 5)
+        X = P.reshape(H, W, -1, nI * nI)
+        # G[(i,j),(k,l)] is the window entry at row (i,k), column (j,l)
+        G = np.abs(X.swapaxes(-1, -2) @ X.conj()).reshape(H, W, nI, nI, nI, nI)
+        G *= eta
+        return np.maximum(G[:, :, :, 0, :, 0] - eta / 2.0,
+                          (1.0 - eta) - G.sum(axis=(3, 5))).reshape(H, W, -1)
+
+    return _window_report(ctx, "condition1", h_samples, lam, m0, eta / 2.0, eta,
+                          margins_of)
 
 
 def check_condition2(ctx: FourierContext, h_samples=None, lam=None) -> ConditionReport:
@@ -600,7 +624,8 @@ def check_condition2(ctx: FourierContext, h_samples=None, lam=None) -> Condition
 
     Applies in the integer-K regime: the absolute sum of the (0,0) row
     must drop below 1 - 4 sin^2(pi/2m') q^-3m1.  Non-integer K is
-    reported as wrong-branch instead of raising.
+    reported as wrong-branch instead of raising.  The row is propagated
+    as an nI x nI matrix: X -> q^-3 sum_delta A_delta^T X conj(A_delta).
     """
     ctx.require_nonzero_alpha("condition check")
     lam = ctx.lam if lam is None else lam
@@ -614,25 +639,17 @@ def check_condition2(ctx: FourierContext, h_samples=None, lam=None) -> Condition
         )
     if lam < m1:
         raise ValueError(f"need lam >= m1 = {m1}")
-    if h_samples is None:
-        h_samples = stratified_samples(ctx.q ** (lam + ctx.m - 1), 1 << 10)
-    worst = math.inf
-    violations = []
-    windows = 0
-    for h in h_samples:
-        for ell_hi in range(lam, m1 - 1, -1):
-            B = _window_product(ctx, h, ell_hi, m1)
-            margin = (1.0 - eta) - float(np.abs(B[0]).sum())
-            windows += 1
-            if margin < worst:
-                worst = margin
-            if margin < -_EXACT_TOL and len(violations) < 16:
-                violations.append((int(h), int(ell_hi), 0, margin))
-    return ConditionReport(
-        name="condition2", lam=lam, window=m1, c0=0.0, eta=eta,
-        h_count=len(h_samples), windows_checked=windows,
-        worst_margin=worst, violations=tuple(violations),
-    )
+
+    def margins_of(A, tops):
+        nI = A.shape[-1]
+        X = np.zeros((A.shape[0], tops.size, nI, nI), dtype=np.complex128)
+        X[:, :, 0, 0] = 1.0
+        for t in range(m1):
+            F = A[:, tops - 1 - t]
+            X = (F.swapaxes(-1, -2) @ X[:, :, None] @ F.conj()).sum(axis=2) / ctx.q ** 3
+        return (1.0 - eta) - np.abs(X).sum(axis=(2, 3))[:, :, None]
+
+    return _window_report(ctx, "condition2", h_samples, lam, m1, 0.0, eta, margins_of)
 
 
 # ----------------------------------------------------------------------
@@ -717,59 +734,41 @@ def prop1_decay_profile(ctx: FourierContext, I_prime, h: int,
 # single-index matrices and the non-integer-K saving
 
 
+def _block_product(ctx, A: np.ndarray, delta: int) -> np.ndarray:
+    """prod_t A[..., t, delta_t] over the base-q digits delta_t of delta.
+
+    With A[..., t, d] = A_d(z^(q^t)) this is M^j_delta(z): a j-digit step
+    is j one-digit steps, the t-th seeing the digits eps_t and delta_t.
+    """
+    out = np.zeros(A.shape[:-4] + A.shape[-2:], dtype=np.complex128)
+    out += np.eye(A.shape[-1])
+    for t in range(A.shape[-4]):
+        out = out @ A[..., t, (delta // ctx.q ** t) % ctx.q, :, :]
+    return out
+
+
 def small_matrix_M(ctx: FourierContext, j: int, delta: int, z: complex) -> TransferMatrix:
     """M^j_delta(z) over single offset vectors.
 
     Entry (I, J) collects z^eps v^j(I, eps, delta) over eps < q^j with
-    T^j_{eps,delta}(I) = J.  Row norms never exceed q^j.
+    T^j_{eps,delta}(I) = J.  Row norms never exceed q^j.  Built as the
+    product A_{delta_0}(z) A_{delta_1}(z^q) ... of one-digit matrices.
     """
     if j < 0:
         raise ValueError("j must be >= 0")
-    Is = ctx.index_vectors()
-    nI = len(Is)
-    if j == 0:
-        return TransferMatrix(entries=np.eye(nI, dtype=np.complex128), index=Is)
-    p = ctx.q ** j
-    budget_check("sum", p, "single-index matrix")
-    delta %= p
-    eps = np.arange(p, dtype=np.int64)
-    zpow = np.power(complex(z), eps)
-    pos = {I: r for r, I in enumerate(Is)}
-    entries = np.zeros((nI, nI), dtype=np.complex128)
-    for r, I in enumerate(Is):
-        tgt, ph = _vector_targets_phases(ctx, I, eps, delta, j)
-        cols = np.array([pos[tuple(t)] for t in tgt.tolist()], dtype=np.int64)
-        np.add.at(entries[r], cols, ctx.roots[ph] * zpow)
-    return TransferMatrix(entries=entries, index=Is)
+    budget_check("sum", ctx.q ** j, "single-index matrix")
+    zt = np.array([complex(z) ** ctx.q ** t for t in range(j)], dtype=np.complex128)
+    A = _digit_matrices(ctx, zt[:, None] ** np.arange(ctx.q))
+    return TransferMatrix(entries=_block_product(ctx, A, delta), index=ctx.index_vectors())
 
 
 def small_matrix_norms_on_root_grid(ctx: FourierContext, j: int, delta: int,
                                     grid: int = 256) -> np.ndarray:
-    """inf-norm of M^j_delta(z) at every z = e(t/grid), t < grid.
-
-    Folding the eps-coefficients modulo the grid turns the whole z sweep
-    into one inverse FFT per matrix entry.
-    """
-    if j == 0:
-        return np.ones(grid)
-    p = ctx.q ** j
-    budget_check("sum", p, "single-index matrix")
-    delta %= p
-    Is = ctx.index_vectors()
-    pos = {I: r for r, I in enumerate(Is)}
-    eps = np.arange(p, dtype=np.int64)
-    res = eps % grid
-    norms = np.zeros((len(Is), grid))
-    for r, I in enumerate(Is):
-        tgt, ph = _vector_targets_phases(ctx, I, eps, delta, j)
-        cols = np.array([pos[tuple(t)] for t in tgt.tolist()], dtype=np.int64)
-        w = ctx.roots[ph]
-        for c in np.unique(cols):
-            mask = cols == c
-            folded = np.zeros(grid, dtype=np.complex128)
-            np.add.at(folded, res[mask], w[mask])
-            norms[r] += np.abs(np.fft.ifft(folded) * grid)
-    return norms.max(axis=0)
+    """inf-norm of M^j_delta(z) at every z = e(t/grid), t < grid."""
+    budget_check("sum", ctx.q ** j, "single-index matrix")
+    s = np.arange(grid, dtype=np.int64)[:, None]
+    A = _digit_matrices_at(ctx, s * ctx.q ** np.arange(j, dtype=np.int64) % grid, grid)
+    return np.abs(_block_product(ctx, A, delta)).sum(axis=-1).max(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ import numpy as np
 
 from .budget import check as budget_check
 from .digital import DigitalFunction, eval_b_many
+from .phases import roots_of_unity
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,6 @@ def _phase_table(f: DigitalFunction, alpha: AlphaVector, N: int) -> np.ndarray:
     return phases % mp
 
 
-def _roots(m_prime: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(m_prime) / m_prime)
-
-
 def exp_sum_S0(f: DigitalFunction, alpha: AlphaVector, N: int) -> complex:
     """S0 = sum_{n<N} e(sum_l alpha_l b((n+l)^2)), phases exact mod m'."""
     if N < 1:
@@ -206,7 +203,7 @@ def exp_sum_S0(f: DigitalFunction, alpha: AlphaVector, N: int) -> complex:
     budget_check("sum", N, "exponential sum")
     phases = _phase_table(f, alpha, N)
     counts = np.bincount(phases, minlength=f.m_prime)
-    return complex(counts @ _roots(f.m_prime))
+    return complex(counts @ roots_of_unity(f.m_prime))
 
 
 @dataclass(frozen=True)
@@ -254,7 +251,7 @@ def decay_exponent(f: DigitalFunction, alpha: AlphaVector, N_grid) -> DecayFit:
     top = grid[-1]
     budget_check("sum", top, "exponential sum grid")
     phases = _phase_table(f, alpha, top)
-    roots = _roots(f.m_prime)
+    roots = roots_of_unity(f.m_prime)
     rows = []
     for N in grid:
         counts = np.bincount(phases[:N], minlength=f.m_prime)

