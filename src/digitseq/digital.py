@@ -22,6 +22,13 @@ for normalized tables
     b_lam(n) = sum_{j=0}^{lam-1} F[floor(n / q^j) mod q^m]
 
 picks out exactly the windows anchored below position lam.
+
+Vectorized evaluation runs one block-table scan: the width-w table holds
+the summed weight of w consecutive windows, so the scan advances w digits
+per lookup in a fixed number of rounds.  ``eval_b_many`` (b over int64
+arguments), ``eval_b_band_many`` (digit bands, behind the Fourier phase
+tables and the carry counts) and the int64 limbs that ``stream`` splits
+wider map values into all run on it.
 """
 
 from __future__ import annotations
@@ -348,11 +355,6 @@ def find_difference_witness(f: DigitalFunction, alpha_num: int):
 
 
 @lru_cache(maxsize=64)
-def _table_array(f: DigitalFunction):
-    return np.asarray(f.F, dtype=np.int64)
-
-
-@lru_cache(maxsize=64)
 def _block_table(f: DigitalFunction, width: int):
     """T[y] = sum_{j < width} F[(y // q^j) mod q^m] for y < q^(width+m-1).
 
@@ -362,7 +364,7 @@ def _block_table(f: DigitalFunction, width: int):
     """
     q, size = f.q, f.table_size
     n = q ** (width + f.m - 1)
-    F = _table_array(f)
+    F = np.asarray(f.F, dtype=np.int64)
     y = np.arange(n, dtype=np.int64)
     total = np.zeros(n, dtype=np.int64)
     cur = y
@@ -383,59 +385,79 @@ def _block_width(f: DigitalFunction, target: int = 1 << 18) -> int:
     return max(width, 1)
 
 
+def _int64_array(ns) -> np.ndarray:
+    """Integer input as int64; non-integer dtypes raise instead of truncating."""
+    ns = np.asarray(ns)
+    if ns.size and ns.dtype.kind in "fc":
+        raise ValueError(f"arguments must be integers, got dtype {ns.dtype}")
+    return np.asarray(ns, dtype=np.int64)
+
+
+def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
+    """sum_{j < digits} F[(x // q^j) mod q^m] for int64 x < q^(digits+m-1).
+
+    Advances `_block_width(g)` digits per block-table lookup and takes the
+    last digits mod width in one lookup of the narrower table, so the
+    round count is fixed.  x is overwritten.
+    """
+    q = g.q
+    out = np.zeros(x.shape, dtype=np.int64)
+    width = _block_width(g)
+    full, rest = divmod(digits, width)
+    if full:
+        table = _block_table(g, width)
+        size, step = q ** (width + g.m - 1), q ** width
+        if q & (q - 1) == 0:  # power-of-two base: shifts beat division
+            mask, bits = size - 1, step.bit_length() - 1
+            for _ in range(full):
+                out += table[x & mask]
+                x >>= bits
+        else:
+            for _ in range(full):
+                out += table[x % size]
+                x //= step
+    if rest:
+        out += _block_table(g, rest)[x]
+    return out
+
+
 def eval_b_many(f: DigitalFunction, ns) -> np.ndarray:
-    """Vectorized b over an int64 array; bit-identical to eval_b."""
-    ns = np.asarray(ns, dtype=np.int64)
+    """Vectorized b over integer arguments; bit-identical to eval_b.
+
+    Arguments times q^(m-1) must stay below 2^62; wider ones raise
+    OverflowError (``stream`` splits those into limbs).
+    """
+    ns = _int64_array(ns)
     if ns.size == 0:
         return np.zeros(0, dtype=np.int64)
     if ns.min() < 0:
         raise ValueError("arguments must be >= 0")
+    # Shifting by q^(m-1) makes the j >= 0 scan cover the sub-zero windows.
     shift = f.q ** (f.m - 1)
-    if int(ns.max()) * shift >= _VECTOR_ARG_LIMIT:
+    top = int(ns.max()) * shift
+    if top >= _VECTOR_ARG_LIMIT:
         raise OverflowError("arguments too wide for the vectorized path")
-    width = _block_width(f)
-    table = _block_table(f, width)
-    size = f.q ** (width + f.m - 1)
-    out = np.zeros(ns.shape, dtype=np.int64)
-    cur = ns * shift
-    if size & (size - 1) == 0:  # power-of-two base: shifts beat division
-        mask = size - 1
-        step_bits = (f.q ** width).bit_length() - 1
-        while True:
-            out += table[cur & mask]
-            cur = cur >> step_bits
-            if not cur.any():
-                return out
-    step = f.q ** width
-    while True:
-        out += table[cur % size]
-        cur = cur // step
-        if not cur.any():
-            return out
+    digits = 1
+    while f.q ** digits <= top:
+        digits += 1
+    return _scan(f, ns * shift, digits)
 
 
 def eval_b_band_many(f: DigitalFunction, xs, mu: int, lam: int) -> np.ndarray:
-    """Vectorized b_{mu,lam} over an int64 array (normalized f only)."""
+    """Vectorized b_{mu,lam} over integer arguments (normalized f only)."""
     if not f.is_normalized:
         raise ValueError("truncated evaluation requires a normalized table")
     if not 0 <= mu <= lam:
         raise ValueError(f"need 0 <= mu <= lam, got ({mu}, {lam})")
-    xs = np.asarray(xs, dtype=np.int64)
+    xs = _int64_array(xs)
     if xs.size == 0:
         return np.zeros(0, dtype=np.int64)
-    q, size = f.q, f.table_size
-    period = q ** (lam + f.m - 1)
-    if period < _VECTOR_ARG_LIMIT:
+    period = f.q ** (lam + f.m - 1)
+    if period <= np.iinfo(np.int64).max:
         xs = xs % period
     elif xs.min() < 0:
         raise OverflowError("band period too wide for vectorized reduction")
-    F = _table_array(f)
-    out = np.zeros(xs.shape, dtype=np.int64)
-    cur = xs // q ** mu if mu else xs
-    for _ in range(mu, lam):
-        out += F[cur % size]
-        cur = cur // q
-    return out
+    return _scan(f, xs // f.q ** mu, lam - mu)  # the scan overwrites its input
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ range-partitioned reads all agree bit for bit.
 
 from __future__ import annotations
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -16,14 +17,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .digital import (
+    _VECTOR_ARG_LIMIT,
     DigitalFunction,
     MAX_ARG_BITS,
-    eval_b,
+    _block_width,
+    _scan,
     eval_b_many,
     make_digital_function,
+    normalize,
 )
 
-_VECTOR_LIMIT = 1 << 62
+# Wide map values are split into limbs n = sum_k c_k B^k with B = q^L.
+# Over a span of i < 2^15 symbols from s, limb k of n(s + i) before carries
+# is n0_k + d1_k i + d2_k i(i-1)/2, where n0, d1, d2 are n(s) and its first
+# and second differences written in base B, so it is at most
+# (B - 1)(1 + i + i(i-1)/2) < (B - 1) 2^29.  Carries stay below 2^29 as
+# well, so with B <= 2^34 every limb sum stays below 2^63.
+_WIDE_SPAN = 1 << 15
+_LIMB_BASE_LIMIT = 1 << 34
 
 
 def digits(n: int, q: int) -> list:
@@ -168,11 +179,67 @@ def _map_range_check(index_map: IndexMap, start: int, count: int) -> None:
             )
 
 
+def _limb_digits(f: DigitalFunction) -> int:
+    """L: the largest multiple of the block width with q^L <= 2^34."""
+    width = _block_width(f)
+    digits = 0
+    while f.q ** (digits + width) <= _LIMB_BASE_LIMIT:
+        digits += width
+    return digits
+
+
+def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
+               start: int, count: int) -> np.ndarray:
+    """b(map(t)) for t in [start, start+count) through int64 limbs.
+
+    g is normalized, so b(n) = sum_k b_L(c_k + (c_{k+1} mod q^(m-1)) B)
+    for the base-B limbs c_k of n: the split recursion at every limb
+    boundary.  The maps are polynomials of degree at most 2 with
+    nonnegative differences, so limbs come from n(s), d1 and d2 alone.
+    """
+    base, low = g.q ** limb_digits, g.q ** (g.m - 1)
+    pow2 = g.q & (g.q - 1) == 0
+    bits = base.bit_length() - 1
+    i = np.arange(min(count, _WIDE_SPAN), dtype=np.int64)
+    tri = i * (i - 1) // 2
+    out = np.empty(count, dtype=np.int64)
+    for s in range(start, start + count, _WIDE_SPAN):
+        c = min(_WIDE_SPAN, start + count - s)
+        n0, n1, n2 = index_map(s), index_map(s + 1), index_map(s + 2)
+        coeffs = [n0, n1 - n0, n2 - 2 * n1 + n0]
+        top = index_map(s + c - 1)
+        limbs, carry = [], 0
+        while top:
+            top //= base
+            k0, k1, k2 = (v % base for v in coeffs)
+            coeffs = [v // base for v in coeffs]
+            v = i[:c] * k1
+            if k2:
+                v += tri[:c] * k2
+            v += carry
+            v += k0
+            if pow2:
+                carry = v >> bits
+                v &= base - 1
+            else:
+                carry, v = np.divmod(v, base)
+            limbs.append(v)
+        total = np.zeros(c, dtype=np.int64)
+        for k, x in enumerate(limbs):
+            if low > 1 and k + 1 < len(limbs):
+                x += limbs[k + 1] % low * base
+            total += _scan(g, x, limb_digits)
+        out[s - start:s - start + c] = total
+    return out
+
+
 def _emit_chunk(f: DigitalFunction, index_map: IndexMap, start: int,
-                count: int) -> np.ndarray:
-    ts = np.arange(start, start + count, dtype=np.int64)
-    ns = index_map.apply_array(ts)
-    return eval_b_many(f, ns) % f.m_prime
+                count: int, wide) -> np.ndarray:
+    top = index_map(start + count - 1) * f.q ** (f.m - 1)
+    if top < _VECTOR_ARG_LIMIT:
+        ts = np.arange(start, start + count, dtype=np.int64)
+        return eval_b_many(f, index_map.apply_array(ts)) % f.m_prime
+    return _emit_wide(*wide, index_map, start, count) % f.m_prime
 
 
 def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
@@ -183,31 +250,33 @@ def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
     into one preallocated output, so throughput is flat in count.  The
     512 KB chunk temporaries also keep a 10^6-symbol call's heap growth
     under glibc's trim threshold, so repeated calls reuse their pages
-    instead of faulting in about 3,000 fresh ones each.  Falls back to exact big-integer evaluation when map values outgrow the
-    vectorized int64 path.  threads > 1 fans chunks out to a thread
-    pool of at most os.cpu_count() workers; the ordered merge keeps
-    output independent of partitioning.
+    instead of faulting in about 3,000 fresh ones each.  A chunk whose
+    map values outgrow int64 is evaluated exactly on int64 limbs with
+    the same block tables, so throughput also holds past 2^62.
+    threads > 1 fans chunks out to a thread pool of at most
+    os.cpu_count() workers; the ordered merge keeps output independent
+    of partitioning.
     """
+    start, count = operator.index(start), operator.index(count)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if chunk < 1:  # a negative step would leave the output unwritten
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     threads = min(threads, os.cpu_count() or 1)
     _map_range_check(index_map, start, count)
     if count == 0:
         return np.zeros(0, dtype=np.int64)
 
-    top = index_map(start + count - 1) * f.q ** (f.m - 1)
-    if top >= _VECTOR_LIMIT:
-        values = [eval_b(f, index_map(t)) % f.m_prime
-                  for t in range(start, start + count)]
-        return np.asarray(values, dtype=np.int64)
-
+    wide = None
+    if index_map(start + count - 1) * f.q ** (f.m - 1) >= _VECTOR_ARG_LIMIT:
+        wide = (normalize(f), _limb_digits(f))  # normalizing leaves b as is
     out = np.empty(count, dtype=np.int64)
     spans = [(s, min(chunk, start + count - s))
              for s in range(start, start + count, chunk)]
 
     def fill(span):
         s, c = span
-        out[s - start:s - start + c] = _emit_chunk(f, index_map, s, c)
+        out[s - start:s - start + c] = _emit_chunk(f, index_map, s, c, wide)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -229,9 +298,10 @@ class SequenceStream:
                  start: int = 0):
         self.f = f
         self.index_map = index_map
-        self.position = start
+        self.position = operator.index(start)
 
     def read(self, count: int) -> np.ndarray:
+        count = operator.index(count)
         out = stream(self.f, self.index_map, self.position, count)
         self.position += count
         return out

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
 from digitseq.digital import (
     FunctionSpecError,
     WitnessNotFoundError,
+    _block_width,
     boundary_difference,
     eval_b_band_many,
 )
@@ -91,6 +93,30 @@ def test_eval_b_many_bit_identical(rng, rudin_shapiro):
     assert all(int(v) == dq.eval_b(rudin_shapiro, int(n)) for v, n in zip(vec, ns))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (10, 1), (10, 2)]),
+       st.integers(0, 2 ** 32),
+       st.lists(st.integers(0, 2 ** 62 - 1), min_size=1, max_size=50))
+def test_eval_b_many_matches_scalar_random_tables(qm, seed, raw):
+    q, m = qm
+    weights = np.random.default_rng(seed).integers(0, 10, q ** m - 1)
+    f = dq.make_digital_function(q, m, [0] + weights.tolist(), 7)
+    ns = [n // q ** (m - 1) for n in raw]
+    vec = dq.eval_b_many(f, np.array(ns, dtype=np.int64))
+    assert vec.tolist() == [dq.eval_b(f, n) for n in ns]
+
+
+def test_eval_b_many_rejects_floats(rudin_shapiro):
+    for bad in ([2.7, 3.2], np.array([2.0, 3.0]), [1 + 2j]):
+        with pytest.raises(ValueError, match="integers"):
+            dq.eval_b_many(rudin_shapiro, bad)
+        with pytest.raises(ValueError, match="integers"):
+            eval_b_band_many(rudin_shapiro, bad, 0, 4)
+    assert dq.eval_b_many(rudin_shapiro, []).size == 0
+    small = np.array([3, 7], dtype=np.uint8)
+    assert dq.eval_b_many(rudin_shapiro, small).tolist() == [1, 2]
+
+
 def test_width_contract(rudin_shapiro):
     n = (1 << 125) + 12345
     assert dq.eval_b(rudin_shapiro, n) == rs_oracle(n)
@@ -163,6 +189,26 @@ def test_band_many_matches_scalar(rng, rudin_shapiro):
         vec = eval_b_band_many(rudin_shapiro, xs, mu, lam)
         assert all(int(v) == dq.eval_b_window(rudin_shapiro, int(x), w)
                    for v, x in zip(vec, xs))
+
+
+@pytest.mark.parametrize("q", [2, 3, 10])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_band_kernel_matches_window(rng, q, m):
+    size = q ** m
+    table = [0] + [int(v) for v in rng.integers(0, 6, size - 1)]
+    g = dq.normalize(dq.make_digital_function(q, m, table, 2))
+    w = _block_width(g)
+    bands = [(0, 0), (4, 4), (0, w - 1), (1, w), (0, w), (3, w + 3),
+             (0, w + 1), (2, 2 * w + 3)]
+    # one band whose period q^(lam+m-1) reaches 2^62 and one past int64
+    deep = next(lam for lam in range(200) if q ** (lam + m - 1) >= 1 << 62)
+    bands += [(0, deep), (5, deep + 40)]
+    xs = rng.integers(-(2 ** 63), 2 ** 63 - 1, 200, dtype=np.int64, endpoint=True)
+    for mu, lam in bands:
+        args = xs if q ** (lam + m - 1) < 2 ** 63 else np.abs(xs[1:])
+        win = dq.TruncationWindow(mu, lam)
+        want = [dq.eval_b_window(g, int(x), win) for x in args]
+        assert eval_b_band_many(g, args, mu, lam).tolist() == want, (mu, lam)
 
 
 def test_truncation_requires_normalized():

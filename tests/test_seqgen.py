@@ -1,7 +1,11 @@
 """Streams, presets, index maps: pointwise agreement and determinism."""
 
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
 from digitseq import seqgen
@@ -115,14 +119,17 @@ def test_stream_chunking_invariance(rudin_shapiro):
     assert np.array_equal(one_shot, threaded)
 
 
-def test_stream_threads_clamped_to_cores(rudin_shapiro, monkeypatch):
-    seen = []
+@pytest.fixture
+def pools(monkeypatch):
+    """Inline stand-in for the thread pool; returns the pools made."""
+    made = []
 
     class RecordingPool:
-        """Runs the chunks inline; records the pool size asked for."""
+        """Runs the chunks inline; records the pool size and the spans."""
 
         def __init__(self, max_workers):
-            seen.append(max_workers)
+            self.max_workers, self.spans = max_workers, []
+            made.append(self)
 
         def __enter__(self):
             return self
@@ -131,18 +138,38 @@ def test_stream_threads_clamped_to_cores(rudin_shapiro, monkeypatch):
             return False
 
         def map(self, fn, items):
-            return map(fn, items)
+            self.spans = list(items)
+            return map(fn, self.spans)
 
-    monkeypatch.setattr(seqgen.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(seqgen, "ThreadPoolExecutor", RecordingPool)
+    return made
+
+
+def test_stream_threads_clamped_to_cores(rudin_shapiro, monkeypatch, pools):
+    monkeypatch.setattr(seqgen.os, "cpu_count", lambda: 3)
     want = dq.stream(rudin_shapiro, dq.SQUARE, 0, 5000)
     for threads, workers in ((2, 2), (3, 3), (4, 3), (10 ** 6, 3)):
         got = dq.stream(rudin_shapiro, dq.SQUARE, 0, 5000, chunk=999, threads=threads)
-        assert np.array_equal(got, want) and seen.pop() == workers
+        assert np.array_equal(got, want) and pools.pop().max_workers == workers
     for threads in (0, -2):
         with pytest.raises(ValueError, match="threads must be >= 1"):
             dq.stream(rudin_shapiro, dq.SQUARE, 0, 10, threads=threads)
-    assert seen == []
+    assert pools == []
+
+
+def test_stream_wide_range_fans_out(rudin_shapiro, monkeypatch, pools):
+    # squares past 2^62 are chunked and fanned out like narrow ones
+    monkeypatch.setattr(seqgen.os, "cpu_count", lambda: 2)
+    start = 2 ** 40
+    want = dq.stream(rudin_shapiro, dq.SQUARE, start, 5000)
+    got = dq.stream(rudin_shapiro, dq.SQUARE, start, 5000, chunk=999, threads=2)
+    assert np.array_equal(got, want)
+    (pool,) = pools
+    assert pool.max_workers == 2
+    assert pool.spans == [(s, min(999, start + 5000 - s))
+                          for s in range(start, start + 5000, 999)]
+    assert all(int(want[p]) == dq.eval_b(rudin_shapiro, (start + p) ** 2) % 2
+               for p in range(0, 5000, 97))
 
 
 def test_sequence_stream_reads(thue_morse):
@@ -164,3 +191,135 @@ def test_stream_big_int_fallback():
 def test_stream_range_overflow(thue_morse):
     with pytest.raises(OverflowError):
         dq.stream(thue_morse, dq.SQUARE, 2 ** 64, 1)
+
+
+# ----------------------------------------------------------------------
+# map values past 2^62: int64 limbs, pinned to the scalar evaluator
+
+WIDE_IDS = ("thue-morse", "rudin-shapiro", "digit-sum:3,3", "digit-sum:10,7",
+            "block-ones:3", "unnormalized")
+WIDE_FUNCTIONS = tuple(parse_preset(name) for name in WIDE_IDS[:-1]) + (
+    dq.make_digital_function(2, 2, [0, 3, 1, 0], 5),)
+WIDE_MAPS = (dq.IDENTITY, dq.SQUARE, dq.affine(3, 7))
+TOP = 2 ** seqgen.MAX_ARG_BITS  # first map value out of range
+
+
+def _last_index(index_map):
+    """Largest t whose map value is below 2^126."""
+    if index_map.kind == "identity":
+        return TOP - 1
+    if index_map.kind == "square":
+        return math.isqrt(TOP - 1)
+    return (TOP - 1 - index_map.b) // index_map.a
+
+
+def _first_index(index_map, value):
+    """Smallest t whose map value is at least value."""
+    if index_map.kind == "identity":
+        return value
+    if index_map.kind == "square":
+        return math.isqrt(value - 1) + 1
+    return -(-(value - index_map.b) // index_map.a)
+
+
+def _scalar(f, index_map, ts):
+    return [dq.eval_b(f, index_map(t)) % f.m_prime for t in ts]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(WIDE_FUNCTIONS), st.sampled_from(WIDE_MAPS),
+       st.integers(2 ** 40, TOP - 1), st.integers(1, 300),
+       st.sampled_from([1 << 16, 777, 64]))
+def test_stream_wide_matches_scalar(f, index_map, value, count, chunk):
+    start = min(_first_index(index_map, value),
+                _last_index(index_map) - count + 1)
+    got = dq.stream(f, index_map, start, count, chunk=chunk)
+    assert got.tolist() == _scalar(f, index_map, range(start, start + count))
+
+
+@pytest.mark.parametrize("f", WIDE_FUNCTIONS, ids=WIDE_IDS)
+def test_stream_last_square_in_range(f):
+    last = math.isqrt(TOP - 1)
+    got = dq.stream(f, dq.SQUARE, last - 2999, 3000)
+    assert got.tolist() == _scalar(f, dq.SQUARE, range(last - 2999, last + 1))
+    with pytest.raises(OverflowError):
+        dq.stream(f, dq.SQUARE, last, 2)
+
+
+@pytest.mark.parametrize("f", WIDE_FUNCTIONS, ids=WIDE_IDS)
+def test_stream_straddles_vector_limit(f):
+    # the first t whose map value leaves the int64 path, chunked at 777
+    switch = _first_index(dq.SQUARE, (1 << 62) // f.q ** (f.m - 1))
+    start = switch - 2000
+    got = dq.stream(f, dq.SQUARE, start, 5000, chunk=777)
+    assert got.tolist() == _scalar(f, dq.SQUARE, range(start, start + 5000))
+
+
+def test_stream_wide_large_chunk_no_limb_overflow():
+    # one 2^20-symbol chunk of squares near 2^126: the limb sums grow
+    # with the position inside the chunk, so check both ends of every
+    # 2^15-symbol stretch and a stride through the rest
+    count = (1 << 20) + 123
+    checked = sorted({p for s in range(0, count, 1 << 15)
+                      for p in (s, s + 1, min(s + (1 << 15), count) - 1)}
+                     | set(range(0, count, 509)))
+    for f in WIDE_FUNCTIONS[:2] + WIDE_FUNCTIONS[3:4]:
+        start = math.isqrt(TOP - 1) - count + 1
+        got = dq.stream(f, dq.SQUARE, start, count, chunk=1 << 20)
+        assert [int(got[p]) for p in checked] == \
+            _scalar(f, dq.SQUARE, (start + p for p in checked))
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "rudin-shapiro", "digit-sum:10,7"])
+def test_wide_limbs_hold_the_overflow_bound(name):
+    # the bound must hold for any limb digits below B, not only for the
+    # small second differences of the index maps: n(t) = c t^2 with
+    # 2c = B^2 - 1 or B^2 - 2 puts the digit B - 1 (or B - 2) on every
+    # coefficient of the i(i-1)/2 term
+    f = parse_preset(name)
+    limb = seqgen._limb_digits(f)
+    c = (f.q ** (2 * limb) - 1) // 2
+
+    def steep(t):
+        return c * t * t
+
+    start = math.isqrt((TOP - 1) // c) - (1 << 16) + 1
+    got = seqgen._emit_wide(dq.normalize(f), limb, steep, start, 1 << 16)
+    checked = [p for s in range(0, 1 << 16, 1 << 15)
+               for p in (s, s + 1, s + (1 << 14), s + (1 << 15) - 1)]
+    assert [int(got[p]) for p in checked] == \
+        [dq.eval_b(f, steep(start + p)) for p in checked]
+
+
+def test_stream_rejects_empty_chunks(thue_morse):
+    for chunk in (0, -5):
+        with pytest.raises(ValueError, match="chunk must be >= 1"):
+            dq.stream(thue_morse, dq.SQUARE, 0, 10, chunk=chunk)
+
+
+def test_stream_numpy_integer_start(rudin_shapiro):
+    for start in (5, 2 ** 31, 2 ** 40):
+        want = dq.stream(rudin_shapiro, dq.SQUARE, start, 4)
+        assert want.tolist() == _scalar(rudin_shapiro, dq.SQUARE,
+                                         range(start, start + 4))
+        got = dq.stream(rudin_shapiro, dq.SQUARE, np.int64(start), np.int64(4))
+        assert np.array_equal(got, want)
+        s = SequenceStream(rudin_shapiro, dq.SQUARE, start=np.int64(start))
+        assert np.array_equal(s.read(np.int64(4)), want)
+        assert type(s.position) is int and s.position == start + 4
+
+
+def test_stream_throughput_flat_past_vector_limit(rudin_shapiro):
+    # ns/symbol for 2^16 squares from t = 2^40 (map values near 2^80)
+    # stays within 20x of the narrow path from t = 0
+    def best(start):
+        dq.stream(rudin_shapiro, dq.SQUARE, start, 1 << 16)
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            dq.stream(rudin_shapiro, dq.SQUARE, start, 1 << 16)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    narrow, wide = best(0), best(2 ** 40)
+    assert wide <= 20 * narrow, (wide, narrow)
