@@ -18,6 +18,7 @@ import numpy as np
 from .budget import check as budget_check
 from .digital import (
     DigitalFunction,
+    _prime_factors,
     eval_b_band_many,
     eval_b_many,
 )
@@ -27,37 +28,17 @@ _TOL = 1e-9
 
 
 def divisor_count(n: int) -> int:
-    """tau(n): number of positive divisors."""
+    """tau(n): number of positive divisors, prod (e + 1) over p^e || n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            total *= e + 1
-        d += 1
-    if n > 1:
-        total *= 2
-    return total
+    return math.prod(e + 1 for e in _prime_factors(n).values())
 
 
 def distinct_prime_count(n: int) -> int:
     """omega(n): number of distinct prime factors."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1
-    return count + (1 if n > 1 else 0)
+    return len(_prime_factors(n))
 
 
 # ----------------------------------------------------------------------

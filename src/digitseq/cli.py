@@ -200,6 +200,8 @@ def _fourier_check_witness(ctx, rng, samples):
 
 
 def _cmd_fourier(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     f = _load_function(args, need_normalized=True)
     alpha = AlphaVector.parse(args.alpha, f.m_prime)
     ctx = fourier.make_context(f, alpha, args.lam)

@@ -113,13 +113,8 @@ class TruncationWindow:
 
 @lru_cache(maxsize=256)
 def _is_normalized(f: DigitalFunction) -> bool:
-    q, m, size = f.q, f.m, f.table_size
-    if m == 1:
-        return True
-    for n in range(size):
-        if sum(f.F[(n * q ** j) % size] for j in range(1, m)) != 0:
-            return False
-    return True
+    # normalize(f) == f iff G(n) = G(n // q) for all n iff G == G(0) = 0
+    return f.m == 1 or normalize(f).F == f.F
 
 
 def make_digital_function(q: int, m: int, F, m_prime: int) -> DigitalFunction:
@@ -229,18 +224,18 @@ def check_recursion(f: DigitalFunction, n1: int, n2: int, alpha: int,
     return r_trunc, r_full
 
 
-def _prime_factors(n: int):
-    ps = []
+def _prime_factors(n: int) -> dict:
+    """{p: e} with n = prod p^e over increasing primes p (n >= 1)."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            ps.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
         d += 1
     if n > 1:
-        ps.append(n)
-    return ps
+        out[n] = 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -294,7 +289,7 @@ def check_gcd_conditions(f: DigitalFunction) -> GcdConditionReport:
         raise ValueError("gcd conditions need m_prime > 1")
     q, size = f.q, f.table_size
     g = f if f.is_normalized else normalize(f)
-    primes = _prime_factors(f.m_prime)
+    primes = list(_prime_factors(f.m_prime))
     bvals = [eval_b(f, n) for n in range(size)]
 
     witnesses = []
@@ -452,12 +447,14 @@ def eval_b_band_many(f: DigitalFunction, xs, mu: int, lam: int) -> np.ndarray:
     xs = _int64_array(xs)
     if xs.size == 0:
         return np.zeros(0, dtype=np.int64)
-    period = f.q ** (lam + f.m - 1)
+    period, low = f.q ** (lam + f.m - 1), f.q ** mu
     if period <= np.iinfo(np.int64).max:
         xs = xs % period
     elif xs.min() < 0:
         raise OverflowError("band period too wide for vectorized reduction")
-    return _scan(f, xs // f.q ** mu, lam - mu)  # the scan overwrites its input
+    if low > np.iinfo(np.int64).max:  # every argument is below q^mu
+        return np.zeros(xs.shape, dtype=np.int64)
+    return _scan(f, xs // low, lam - mu)  # the scan overwrites its input
 
 
 # ----------------------------------------------------------------------

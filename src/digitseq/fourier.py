@@ -44,7 +44,7 @@ so the uniform saving for m = 1 is the smaller, chain constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -62,15 +62,6 @@ def _ilog_floor(q: int, x: int) -> int:
     """Largest t >= 0 with q^t <= x (x >= 1)."""
     t, p = 0, q
     while p <= x:
-        t += 1
-        p *= q
-    return t
-
-
-def _ilog_ceil(q: int, x: int) -> int:
-    """Smallest t >= 0 with q^t >= x (x >= 1)."""
-    t, p = 0, 1
-    while p < x:
         t += 1
         p *= q
     return t
@@ -177,8 +168,12 @@ class FourierContext:
             raise ValueError(f"{what} needs a nonzero coefficient vector")
 
     def m0(self) -> int:
-        """Window width after which every offset vector collapses to 0."""
-        return self.m - 1 + _ilog_ceil(self.q, self.k + 1)
+        """Window width after which every offset vector collapses to 0.
+
+        m - 1 + ceil(log_q(k + 1)); the smallest t with q^t > k is
+        floor(log_q k) + 1.
+        """
+        return self.m + _ilog_floor(self.q, self.k)
 
     def m1_pair(self) -> int:
         """Window width for the first-row contraction of pair matrices."""
@@ -288,33 +283,22 @@ def weight_v(ctx: FourierContext, I, eps: int, delta: int, j: int) -> complex:
 # H and G
 
 
-def _kernel(h: int, n: int) -> np.ndarray:
-    """e(-h u / n) for u < n, argument reduced exactly."""
-    u = np.arange(n, dtype=np.int64)
-    return np.exp(-2j * np.pi * (((h % n) * u) % n) / n)
+def _phases(ctx, I, d: int, lam: int, stride: int, n: int) -> np.ndarray:
+    """sum_l num_l b_lam(stride (u + l d) + i_l) mod m' for u < n.
 
-
-def _phase_vector_H(ctx, I, d: int, lam: int) -> np.ndarray:
-    period = ctx.q ** (lam + ctx.m - 1)
-    d %= period  # the truncated phases are periodic in d
-    tab = ctx.band_table(lam)
-    ph = np.zeros(period, dtype=np.int64)
-    for ell, (i, num) in enumerate(zip(I, ctx.alpha.numerators)):
-        if num:
-            ph += num * np.roll(tab, -((ell * d + i) % period))
-    return ph % ctx.m_prime
-
-
-def _phase_vector_G(ctx, I, d: int, lam: int) -> np.ndarray:
+    I is one offset vector or a stack (..., k) of them; the result has
+    shape (..., n).  H takes stride 1 and n = q^(lam+m-1), G stride
+    q^(m-1) and n = q^lam.
+    """
     big = ctx.q ** (lam + ctx.m - 1)
-    d %= big  # shifting d by the period moves args by multiples of it
-    shift = ctx.q ** (ctx.m - 1)
+    d %= big  # both phases are big-periodic in stride * d
     tab = ctx.band_table(lam)
-    u = np.arange(ctx.q ** lam, dtype=np.int64)
-    ph = np.zeros(u.size, dtype=np.int64)
-    for ell, (i, num) in enumerate(zip(I, ctx.alpha.numerators)):
+    I = np.asarray(I, dtype=np.int64)[..., None]
+    u = np.arange(n, dtype=np.int64)
+    ph = np.zeros(I.shape[:-2] + (n,), dtype=np.int64)
+    for ell, num in enumerate(ctx.alpha.numerators):
         if num:
-            ph += num * tab[(shift * (u + ell * d) + i) % big]
+            ph += num * tab[(stride * (u + ell * d) + I[..., ell, :]) % big]
     return ph % ctx.m_prime
 
 
@@ -326,14 +310,37 @@ def _check_depth(ctx, lam):
     return lam
 
 
+# Phase terms formed at once for a stack of offset vectors.
+_STACK_TERMS = 1 << 20
+
+
+def _fourier_sum(ctx, I, h: int, d: int, lam: int, stride: int, n: int) -> np.ndarray:
+    """n^-1 sum_{u<n} e(phase_u/m' - h u/n) over the `_phases` of each I.
+
+    I is one offset vector or a stack (..., k), taken in slices of about
+    _STACK_TERMS terms; h u/n is reduced exactly.
+    """
+    u = np.arange(n, dtype=np.int64)
+    kernel = np.exp(-2j * np.pi * (((h % n) * u) % n) / n)
+    I = np.asarray(I, dtype=np.int64)
+    flat, rows = I.reshape(-1, I.shape[-1]), max(1, _STACK_TERMS // n)
+    sums = [(ctx.roots[_phases(ctx, flat[s:s + rows], d, lam, stride, n)] * kernel)
+            .sum(axis=-1) for s in range(0, len(flat), rows)]
+    return np.concatenate(sums).reshape(I.shape[:-1]) / n
+
+
+def _G(ctx, I, h: int, d: int, lam: int) -> np.ndarray:
+    """G_lam^I(h, d) for one offset vector or each of a stack (..., k)."""
+    return _fourier_sum(ctx, I, h, d, lam, ctx.q ** (ctx.m - 1), ctx.q ** lam)
+
+
 def fourier_H(ctx: FourierContext, I_prime, h: int, d: int, lam=None) -> complex:
     """H_lam^I(h, d) for I in the start-normalized index set."""
     lam = _check_depth(ctx, lam)
     if not is_start_index_vector(I_prime):
         raise ValueError(f"{I_prime} is not a start-normalized offset vector")
     period = ctx.q ** (lam + ctx.m - 1)
-    w = ctx.roots[_phase_vector_H(ctx, I_prime, d, lam)]
-    return complex((w * _kernel(h, period)).sum() / period)
+    return complex(_fourier_sum(ctx, I_prime, h, d, lam, 1, period))
 
 
 def fourier_G(ctx: FourierContext, I, h: int, d: int, lam=None) -> complex:
@@ -341,17 +348,14 @@ def fourier_G(ctx: FourierContext, I, h: int, d: int, lam=None) -> complex:
     lam = _check_depth(ctx, lam)
     if not is_index_vector(I, ctx.q, ctx.m):
         raise ValueError(f"{I} is not a valid offset vector")
-    n = ctx.q ** lam
-    w = ctx.roots[_phase_vector_G(ctx, I, d, lam)]
-    return complex((w * _kernel(h, n)).sum() / n)
+    return complex(_G(ctx, I, h, d, lam))
 
 
 def fourier_G_all_h(ctx: FourierContext, I, d: int, lam=None) -> np.ndarray:
     """G_lam^I(h, d) for every h < q^lam at once (one FFT)."""
     lam = _check_depth(ctx, lam)
     n = ctx.q ** lam
-    w = ctx.roots[_phase_vector_G(ctx, I, d, lam)]
-    return np.fft.fft(w) / n
+    return np.fft.fft(ctx.roots[_phases(ctx, I, d, lam, ctx.q ** (ctx.m - 1), n)]) / n
 
 
 def parseval_sum(ctx: FourierContext, I, d: int, lam=None) -> float:
@@ -373,10 +377,11 @@ def h_recursion_residual(ctx: FourierContext, I_prime, h: int, d: int,
         raise ValueError(f"delta must lie in [0, q^(m-1)), got {delta}")
     period = ctx.q ** (lam + ctx.m - 1)
     lhs = fourier_H(ctx, I_prime, h, shift * d + delta, lam)
+    Js = [[i + ell * delta + eps for ell, i in enumerate(I_prime)]
+          for eps in range(shift)]
     rhs = 0j
-    for eps in range(shift):
-        J = tuple(i + ell * delta + eps for ell, i in enumerate(I_prime))
-        rhs += e_frac(-h * eps, period) * fourier_G(ctx, J, h, d, lam)
+    for eps, g in enumerate(_G(ctx, Js, h, d, lam).tolist()):
+        rhs += e_frac(-h * eps, period) * g
     rhs /= shift
     return abs(lhs - rhs)
 
@@ -386,7 +391,10 @@ def g_recursion_residual(ctx: FourierContext, I, h: int, d: int, j: int,
     """Residual of the one-to-j-block recursion of G (exact identity).
 
     G_lam(h, q^j d + delta) should equal
-    q^-j sum_eps e(-h eps/q^lam) v^j(I,eps,delta) G_{lam-j}^{T(I)}(h, d).
+    q^-j sum_eps e(-h eps/q^lam) v^j(I,eps,delta) G_{lam-j}^{T(I)}(h, d),
+    that is q^-j (row I of M^j_delta(z)) . g with z = e(-h/q^lam) and
+    g_J = G_{lam-j}^J(h, d) over the full index set.  The t-th digit
+    factor of M^j_delta sees z^(q^t) = e(-h/q^(lam-t)), reduced exactly.
     """
     lam = _check_depth(ctx, lam)
     if not 1 <= j <= lam:
@@ -394,13 +402,11 @@ def g_recursion_residual(ctx: FourierContext, I, h: int, d: int, j: int,
     p = ctx.q ** j
     if not 0 <= delta < p:
         raise ValueError(f"delta must lie in [0, q^j), got {delta}")
+    Is = ctx.index_vectors()
     lhs = fourier_G(ctx, I, h, p * d + delta, lam)
-    rhs = 0j
-    for eps in range(p):
-        rhs += (e_frac(-h * eps, ctx.q ** lam)
-                * weight_v(ctx, I, eps, delta, j)
-                * fourier_G(ctx, _T(ctx, I, eps, delta, j), h, d, lam - j))
-    rhs /= p
+    A = _digit_matrices_at(ctx, -h, ctx.q ** (lam - np.arange(j)))
+    row = _block_product(ctx, A, delta)[Is.index(tuple(I))]
+    rhs = complex(row @ _G(ctx, Is, h, d, lam - j)) / p
     return abs(lhs - rhs)
 
 
@@ -475,8 +481,7 @@ def psi_vector(ctx: FourierContext, h: int, lam: int, lam_prime: int) -> np.ndar
     """
     if not 0 <= lam_prime <= lam:
         raise ValueError("need 0 <= lam' <= lam")
-    Is = ctx.index_vectors()
-    base = np.array([fourier_G(ctx, I, h, 0, lam - lam_prime) for I in Is])
+    base = _G(ctx, ctx.index_vectors(), h, 0, lam - lam_prime)
     X = np.outer(base, base.conjugate())
     A = _digit_matrices_at(ctx, -h % ctx.q ** lam, ctx.q ** np.arange(1, lam + 1))
     for ell in range(lam - lam_prime + 1, lam + 1):
@@ -665,9 +670,7 @@ class DecayProfileRow:
     g_avg_matrix: float   # same quantity through the matrix recursion
 
     def to_dict(self):
-        return {"lam": self.lam, "lam_prime": self.lam_prime,
-                "h_avg": self.h_avg, "g_avg": self.g_avg,
-                "g_avg_matrix": self.g_avg_matrix}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -795,11 +798,7 @@ class SavingSweepReport:
         return self.worst_norm <= self.bound + _TOL
 
     def to_dict(self):
-        return {"m1": self.m1, "eta_prime": self.eta_prime,
-                "bound": self.bound, "deltas_checked": self.deltas_checked,
-                "grid": self.grid, "worst_norm": self.worst_norm,
-                "certified_upper": self.certified_upper,
-                "ok": self.ok}
+        return {**asdict(self), "ok": self.ok}
 
 
 def prop2_saving_sweep(ctx: FourierContext, deltas=None, grid: int = 256,
@@ -1028,8 +1027,7 @@ class UniformDecayRow:
     ratio: float
 
     def to_dict(self):
-        return {"L": self.L, "h_abs": self.h_abs, "g_max": self.g_max,
-                "scale": self.scale, "bound": self.bound, "ratio": self.ratio}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -1064,6 +1062,7 @@ def prop2_decay_check(ctx: FourierContext, I_prime, h: int, d: int,
     m1 = ctx.m1_single()
     eta = ctx.eta_single() / (ctx.q ** m1 * math.log(ctx.q ** m1))
     lam = ctx.lam
+    Is = ctx.index_vectors()
     h_abs = abs(fourier_H(ctx, I_prime, h, d, lam))
     rows = []
     worst = 0.0
@@ -1071,8 +1070,7 @@ def prop2_decay_check(ctx: FourierContext, I_prime, h: int, d: int,
         L = int(L)
         if not 0 <= L <= lam:
             raise ValueError(f"need 0 <= L <= lam, got L={L}")
-        g_max = max(abs(fourier_G(ctx, J, h, d // ctx.q ** L, lam - L))
-                    for J in ctx.index_vectors())
+        g_max = max(map(abs, _G(ctx, Is, h, d // ctx.q ** L, lam - L).tolist()))
         scale = float(ctx.q) ** (-eta * L)
         bound = scale * g_max
         ratio = h_abs / bound if bound > 0 else (0.0 if h_abs == 0 else math.inf)

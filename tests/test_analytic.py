@@ -113,6 +113,14 @@ def test_divisor_helpers():
     assert an.distinct_prime_count(1) == 0
 
 
+def test_divisor_helpers_match_brute_force():
+    for n in range(1, 2000):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        primes = [p for p in divisors[1:] if all(p % r for r in range(2, p))]
+        assert an.divisor_count(n) == len(divisors), n
+        assert an.distinct_prime_count(n) == len(primes), n
+
+
 def test_sinus_double_sum_reports_constant():
     rep = an.sinus_sum_checks(5, 64, 0.25, 100.0, A=8)
     assert rep.double_sum > 0 and rep.shape_constant > 0

@@ -194,6 +194,18 @@ def test_vaaler_rejects_empty_grid(capsys):
         assert capsys.readouterr().err == f"error: --grid must be >= 1, got {grid}\n"
 
 
+def test_fourier_rejects_samples_below_one(capsys):
+    # zero samples would check nothing and still report "ok": true
+    for check, alpha in (("recursion", "1,1"), ("parseval", "1,1"), ("witness", "1,0")):
+        for samples in ("0", "-1"):
+            assert dispatch(["fourier", "--preset", "rudin-shapiro", "--alpha", alpha,
+                             "--lambda", "6", "--check", check,
+                             "--samples", samples]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: --samples must be >= 1, got {samples}\n"
+
+
 def test_threads_below_one_rejected(capsys):
     for argv in (["generate", "--preset", "thue-morse", "--count", "4"],
                  ["stats", "--preset", "thue-morse", "-N", "8", "-k", "1"],

@@ -154,6 +154,21 @@ def test_normalize_preserves_b_and_gains_property(rng, q, m):
         assert sum(g.F[(n * q ** j) % size] for j in range(1, m)) == 0
 
 
+@pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2)])
+def test_is_normalized_matches_subzero_definition(rng, q, m):
+    size = q ** m
+    seen = set()
+    for _ in range(40):
+        table = [0] + [int(v) for v in rng.integers(0, 2, size - 1)]
+        f = dq.make_digital_function(q, m, table, 2)
+        for g in (f, dq.normalize(f)):
+            want = all(sum(g.F[(n * q ** j) % size] for j in range(1, m)) == 0
+                       for n in range(size))
+            assert g.is_normalized == want
+            seen.add(want)
+    assert seen == {False, True}
+
+
 # ----------------------------------------------------------------------
 # truncation
 
@@ -203,6 +218,10 @@ def test_band_kernel_matches_window(rng, q, m):
     # one band whose period q^(lam+m-1) reaches 2^62 and one past int64
     deep = next(lam for lam in range(200) if q ** (lam + m - 1) >= 1 << 62)
     bands += [(0, deep), (5, deep + 40)]
+    # q^mu past int64: every argument is below it, so the band is 0
+    # (for q = 2 these are the bands (63, 64) and (64, 70))
+    wide = next(mu for mu in range(200) if q ** mu >= 1 << 63)
+    bands += [(wide, wide + 1), (wide + 1, wide + 7)]
     xs = rng.integers(-(2 ** 63), 2 ** 63 - 1, 200, dtype=np.int64, endpoint=True)
     for mu, lam in bands:
         args = xs if q ** (lam + m - 1) < 2 ** 63 else np.abs(xs[1:])

@@ -3,9 +3,10 @@
 The reference builds M(beta) one one-digit step pair (I, I', delta, e1,
 e2) at a time from the public transform_T and weight_v, and forms each
 condition window as a dense product of such matrices.  Single-index
-matrices M^j_delta(z) are summed directly over eps < q^j.  The package
-derives all of these from one-digit matrices instead (Kronecker sums and
-digit products), so the two sides share no code.
+matrices M^j_delta(z) and the right-hand side of the G recursion are
+summed directly over eps < q^j.  The package derives all of these from
+one-digit matrices instead (Kronecker sums and digit products), so the
+two sides share no code.
 """
 
 import cmath
@@ -233,3 +234,67 @@ def test_single_index_matrices_match_reference(case, rng):
         for t in range(16):
             block = reference_block(ctx, j, delta, e_frac(t, 16))
             assert norms[t] == pytest.approx(np.abs(block).sum(axis=1).max(), abs=1e-12)
+
+
+def reference_g_rhs(ctx, I, h, d, j, delta, lam):
+    """q^-j sum_eps e(-h eps/q^lam) v^j(I,eps,delta) G_{lam-j}^{T(I)}(h, d), per eps."""
+    total = 0j
+    for eps in range(ctx.q ** j):
+        total += (e_frac(-h * eps, ctx.q ** lam) * fx.weight_v(ctx, I, eps, delta, j)
+                  * fx.fourier_G(ctx, fx.transform_T(ctx, I, eps, delta, j), h, d, lam - j))
+    return total / ctx.q ** j
+
+
+def test_g_recursion_matches_reference(case, rng):
+    # the package takes the right-hand side as row I of M^j_delta(z) times
+    # the stacked depth-(lam - j) G; the per-eps sum shares none of that
+    ctx, _, _ = case
+    lam = 4 if ctx.q == 2 else 3
+    Is = ctx.index_vectors()
+    for j in sorted({1, int(rng.integers(1, lam + 1)), lam}):  # j = lam: depth-0 G
+        h = int(rng.integers(0, ctx.q ** (lam + ctx.m - 1)))
+        d = int(rng.integers(0, ctx.q ** (lam + 2)))
+        for I in sorted({Is[0], Is[-1], Is[int(rng.integers(0, len(Is)))]}):
+            for delta in range(ctx.q ** j):
+                lhs = fx.fourier_G(ctx, I, h, ctx.q ** j * d + delta, lam)
+                want = reference_g_rhs(ctx, I, h, d, j, delta, lam)
+                assert abs(lhs - want) <= 1e-12
+                assert fx.g_recursion_residual(ctx, I, h, d, j, delta, lam) <= 1e-12
+
+
+def _worst_g_residual(ctx, lam):
+    Is = ctx.index_vectors()
+    return max(fx.g_recursion_residual(ctx, I, h, 5, j, delta, lam)
+               for I in Is for h in (1, 3) for j in (1, 2) for delta in range(ctx.q ** j))
+
+
+@pytest.mark.parametrize("name,nums", [("rudin-shapiro", (1, 1)), ("thue-morse", (1,)),
+                                       ("digit-sum:3,3", (1, 2))], ids=lambda v: str(v))
+def test_g_recursion_residual_detects_perturbed_tables(name, nums):
+    lam = 4
+    assert _worst_g_residual(_context(name, nums, lam), lam) <= 1e-12
+    # one phase of the cached one-digit step table (delta = 0, eps = 1)
+    ctx = _context(name, nums, lam)
+    ctx.transfer_parts()[0][0, 1] *= 1j
+    assert _worst_g_residual(ctx, lam) > 1e-3
+    # the depth-(lam - j) band table behind the right-hand side only
+    for j in (1, 2):
+        ctx = _context(name, nums, lam)
+        tab = ctx.band_table(lam - j)
+        tab[:] = np.roll(tab, 1)
+        assert _worst_g_residual(ctx, lam) > 1e-3
+
+
+def test_stacked_G_matches_single(case, rng, monkeypatch):
+    ctx, _, _ = case
+    Is = ctx.index_vectors()
+    for lam in (0, 1, 3, 6):
+        h = int(rng.integers(0, ctx.q ** (lam + ctx.m - 1)))
+        d = int(rng.integers(0, 2 ** 20))
+        want = [fx.fourier_G(ctx, I, h, d, lam) for I in Is]
+        assert fx._G(ctx, Is, h, d, lam).tolist() == want
+        stack = np.array([Is, Is[::-1]])  # (2, nI, k)
+        assert fx._G(ctx, stack, h, d, lam).tolist() == [want, want[::-1]]
+        monkeypatch.setattr(fx, "_STACK_TERMS", 2)  # slices of one or two vectors
+        assert fx._G(ctx, Is, h, d, lam).tolist() == want
+        monkeypatch.undo()
