@@ -354,6 +354,8 @@ def fourier_G(ctx: FourierContext, I, h: int, d: int, lam=None) -> complex:
 def fourier_G_all_h(ctx: FourierContext, I, d: int, lam=None) -> np.ndarray:
     """G_lam^I(h, d) for every h < q^lam at once (one FFT)."""
     lam = _check_depth(ctx, lam)
+    if not is_index_vector(I, ctx.q, ctx.m):
+        raise ValueError(f"{I} is not a valid offset vector")
     n = ctx.q ** lam
     return np.fft.fft(ctx.roots[_phases(ctx, I, d, lam, ctx.q ** (ctx.m - 1), n)]) / n
 

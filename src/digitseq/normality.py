@@ -15,13 +15,14 @@ bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .budget import check as budget_check
-from .digital import DigitalFunction, eval_b_many
+from .digital import DigitalFunction
 from .phases import roots_of_unity
+from .seqgen import SQUARE, stream
 
 
 @dataclass(frozen=True)
@@ -72,12 +73,21 @@ class BlockHistogram:
     total: int
 
 
-def _window_codes(values: np.ndarray, k: int, base: int) -> np.ndarray:
-    n = values.size - k + 1
-    codes = np.zeros(n, dtype=np.int64)
-    for j in range(k):
-        codes = codes * base + values[j:j + n]
-    return codes
+def _window_codes(symbols: np.ndarray, base: int, n_max: int):
+    """Yield codes of the length-n windows of symbols in [0, base), n <= n_max.
+
+    Codes are equal, and sort, as their windows do.  Each length is one
+    multiply-add on the last; ranks replace codes before they pass 2^62.
+    """
+    codes, bound = symbols, base       # every code lies below bound
+    yield codes
+    for n in range(2, n_max + 1):
+        if bound * base > 1 << 62:
+            uniq, codes = np.unique(codes, return_inverse=True)
+            bound = uniq.size
+        codes = codes[:-1] * base + symbols[n - 1:]
+        bound *= base
+        yield codes
 
 
 def block_histogram(values, k: int) -> BlockHistogram:
@@ -87,12 +97,13 @@ def block_histogram(values, k: int) -> BlockHistogram:
         raise ValueError(f"block length must be >= 1, got {k}")
     if values.size < k:
         raise ValueError(f"sequence of length {values.size} has no window of length {k}")
-    if values.size and values.min() < 0:
+    if values.min() < 0:
         raise ValueError("symbols must be >= 0")
-    base = int(values.max()) + 1 if values.size else 1
+    base = int(values.max()) + 1
     if base ** k >= 1 << 62:
         raise ValueError("alphabet^k too large to encode windows")
-    codes = _window_codes(values, k, base)
+    for codes in _window_codes(values, base, k):
+        pass
     uniq, cnt = np.unique(codes, return_counts=True)
     counts = {}
     for code, c in zip(uniq.tolist(), cnt.tolist()):
@@ -115,15 +126,7 @@ class NormalityReport:
     expected_frequency: float
 
     def to_dict(self):
-        return {
-            "k": self.k,
-            "m_prime": self.m_prime,
-            "total": self.total,
-            "max_deviation": self.max_deviation,
-            "chi_square": self.chi_square,
-            "missing_blocks": self.missing_blocks,
-            "expected_frequency": self.expected_frequency,
-        }
+        return asdict(self)
 
 
 def normality_deviation(hist: BlockHistogram, m_prime: int) -> NormalityReport:
@@ -157,43 +160,38 @@ def normality_deviation(hist: BlockHistogram, m_prime: int) -> NormalityReport:
 def subword_complexity(values, n_max: int) -> list:
     """Distinct-window counts p(1), ..., p(n_max) of a finite prefix.
 
-    These are lower bounds for the complexity of the infinite sequence;
-    windows are re-ranked length by length so codes never overflow.
+    These are lower bounds for the complexity of the infinite sequence.
+    Symbols are shifted by their minimum, or ranked if their span exceeds
+    the prefix length N, so window codes stay below N * base.
     """
     values = np.asarray(values, dtype=np.int64)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max >= values.size:
         raise ValueError(f"need a prefix longer than n_max={n_max}")
-    out = []
-    ranks = np.unique(values, return_inverse=True)[1]
-    nsym = int(ranks.max()) + 1
-    out.append(nsym)
-    prev = ranks
-    for n in range(2, n_max + 1):
-        L = values.size - n + 1
-        codes = prev[:L] * nsym + ranks[n - 1:n - 1 + L]
-        uniq, prev = np.unique(codes, return_inverse=True)
-        out.append(int(uniq.size))
-        nsym = int(uniq.size)
-    return out
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo + 1 > values.size:
+        uniq, symbols = np.unique(values, return_inverse=True)
+        base = uniq.size
+    else:
+        symbols, base = values - lo, hi - lo + 1
+    return [np.unique(codes, return_counts=True)[1].size
+            for codes in _window_codes(symbols, base, n_max)]
 
 
 def _phase_table(f: DigitalFunction, alpha: AlphaVector, N: int) -> np.ndarray:
-    """Integer phases sum_l num_l * b((n+l)^2) mod m' for n < N."""
+    """Integer phases sum_l num_l * b((n+l)^2) mod m' for n < N.
+
+    b(n^2) mod m' comes from `stream`, exact for squares up to 2^126.
+    """
     if alpha.m_prime != f.m_prime:
         raise ValueError("alpha and function moduli differ")
-    k, mp = alpha.k, f.m_prime
-    top = N + k - 1
-    ns = np.arange(top, dtype=np.int64)
-    if (int(top) ** 2) * f.q ** (f.m - 1) >= 1 << 62:
-        raise OverflowError("(N+k-1)^2 exceeds the vectorized range")
-    bsq = eval_b_many(f, ns * ns) % mp
+    bsq = stream(f, SQUARE, 0, N + alpha.k - 1)
     phases = np.zeros(N, dtype=np.int64)
     for ell, num in enumerate(alpha.numerators):
         if num:
             phases += num * bsq[ell:ell + N]
-    return phases % mp
+    return phases % f.m_prime
 
 
 def exp_sum_S0(f: DigitalFunction, alpha: AlphaVector, N: int) -> complex:
@@ -201,8 +199,7 @@ def exp_sum_S0(f: DigitalFunction, alpha: AlphaVector, N: int) -> complex:
     if N < 1:
         raise ValueError("N must be >= 1")
     budget_check("sum", N, "exponential sum")
-    phases = _phase_table(f, alpha, N)
-    counts = np.bincount(phases, minlength=f.m_prime)
+    counts = np.bincount(_phase_table(f, alpha, N), minlength=f.m_prime)
     return complex(counts @ roots_of_unity(f.m_prime))
 
 
@@ -248,13 +245,13 @@ def decay_exponent(f: DigitalFunction, alpha: AlphaVector, N_grid) -> DecayFit:
         raise ValueError("grid must be strictly increasing")
     if grid[0] < 1:
         raise ValueError("grid entries must be >= 1")
-    top = grid[-1]
-    budget_check("sum", top, "exponential sum grid")
-    phases = _phase_table(f, alpha, top)
+    budget_check("sum", grid[-1], "exponential sum grid")
+    phases = _phase_table(f, alpha, grid[-1])
     roots = roots_of_unity(f.m_prime)
     rows = []
-    for N in grid:
-        counts = np.bincount(phases[:N], minlength=f.m_prime)
+    segments = [np.bincount(phases[a:b], minlength=f.m_prime)
+                for a, b in zip([0] + grid, grid)]   # each phase counted once
+    for N, counts in zip(grid, np.cumsum(segments, axis=0)):
         val = complex(counts @ roots)
         mag = abs(val)
         rows.append(DecayRow(N=N, value=val, magnitude=mag,

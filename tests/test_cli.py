@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +235,31 @@ def test_output_file(tmp_path, capsys):
                   "--count", "8", "--out", str(target))
     assert code == 0
     assert target.read_text().strip() == "01101001"
+
+
+GRID_2E10_2E16 = ",".join(str(2 ** e) for e in range(10, 17))
+GOLDEN = [
+    ("stats_rs_square_N100000_k8.json",
+     ["stats", "--preset", "rudin-shapiro", "--map", "square",
+      "-N", "100000", "-k", "8", "--report", "json"]),
+    ("stats_rs_square_N100000_k8.csv",
+     ["stats", "--preset", "rudin-shapiro", "--map", "square",
+      "-N", "100000", "-k", "8", "--report", "csv"]),
+    ("stats_digitsum10_square_N100000_k7.json",   # "blocks" is null here
+     ["stats", "--preset", "digit-sum:10", "--map", "square",
+      "-N", "100000", "-k", "7", "--report", "json"]),
+    ("expsum_rs_10_grid2e10_2e16.csv",
+     ["expsum", "--preset", "rudin-shapiro", "--alpha", "1,0",
+      "--grid", GRID_2E10_2E16, "--report", "csv"]),
+    ("expsum_rs_10_grid2e10_2e16.json",
+     ["expsum", "--preset", "rudin-shapiro", "--alpha", "1,0",
+      "--grid", GRID_2E10_2E16, "--report", "json"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_statistics_match_golden_bytes(capsys, name, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    golden = Path(__file__).parent / "data" / name
+    assert out == golden.read_text(encoding="ascii")

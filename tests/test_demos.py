@@ -1,4 +1,8 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree.
+
+Where `tests/data/<demo>.stdout` exists, the demo's output must match it
+byte for byte.
+"""
 
 import os
 import subprocess
@@ -19,3 +23,6 @@ def test_demo_runs(script, tmp_path):
                             env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+    golden = ROOT / "tests" / "data" / f"{script.stem}.stdout"
+    if golden.exists():
+        assert result.stdout == golden.read_text(encoding="ascii")

@@ -231,6 +231,16 @@ def test_G_all_h_matches_single(rng, rs_ctx):
                                         abs=1e-12)
 
 
+def test_G_all_h_rejects_invalid_vector(rs_ctx):
+    # (7, 99) is no offset vector for q = 2, m = 2; fourier_G already refuses it
+    with pytest.raises(ValueError):
+        fx.fourier_G(rs_ctx, (7, 99), 0, 3, 4)
+    with pytest.raises(ValueError):
+        fx.fourier_G_all_h(rs_ctx, (7, 99), 3, 4)
+    with pytest.raises(ValueError):
+        fx.parseval_sum(rs_ctx, (7, 99), 3, 4)
+
+
 def test_H_rejects_non_start_vector(rs_ctx):
     with pytest.raises(ValueError):
         fx.fourier_H(rs_ctx, (1, 2), 0, 0, 4)

@@ -1,9 +1,12 @@
 """Block statistics, subword complexity and the correlation sum S0."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
 from digitseq.normality import AlphaVector
+from digitseq.phases import roots_of_unity
 
 
 def brute_S0(f, numerators, N):
@@ -16,6 +19,62 @@ def brute_S0(f, numerators, N):
                     for ell, num in enumerate(numerators)) % mp
         total += cmath.exp(2j * cmath.pi * phase / mp)
     return total
+
+
+def reference_block_histogram(values, k):
+    """Block counts from k fresh passes over the prefix, one per symbol."""
+    values = np.asarray(values, dtype=np.int64)
+    if k < 1:
+        raise ValueError(f"block length must be >= 1, got {k}")
+    if values.size < k:
+        raise ValueError(f"sequence of length {values.size} has no window of length {k}")
+    if values.size and values.min() < 0:
+        raise ValueError("symbols must be >= 0")
+    base = int(values.max()) + 1 if values.size else 1
+    if base ** k >= 1 << 62:
+        raise ValueError("alphabet^k too large to encode windows")
+    n = values.size - k + 1
+    codes = np.zeros(n, dtype=np.int64)
+    for j in range(k):
+        codes = codes * base + values[j:j + n]
+    uniq, cnt = np.unique(codes, return_counts=True)
+    counts = {}
+    for code, c in zip(uniq.tolist(), cnt.tolist()):
+        block = []
+        for _ in range(k):
+            code, r = divmod(code, base)
+            block.append(r)
+        counts[tuple(reversed(block))] = c
+    return dq.BlockHistogram(k=k, counts=counts, total=values.size - k + 1)
+
+
+def reference_subword_complexity(values, n_max):
+    """Distinct-window counts with the windows re-ranked at every length.
+
+    The multiplier is the symbol count.  Taking the count of the previous
+    length instead merges distinct windows when some symbol occurs only
+    near the end of the prefix: [4, 3, 2, 5] then gives p(3) = 1.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    if n_max >= values.size:
+        raise ValueError(f"need a prefix longer than n_max={n_max}")
+    ranks = np.unique(values, return_inverse=True)[1]
+    nsym = int(ranks.max()) + 1
+    out = [nsym]
+    prev = ranks
+    for n in range(2, n_max + 1):
+        L = values.size - n + 1
+        codes = prev[:L] * nsym + ranks[n - 1:n - 1 + L]
+        uniq, prev = np.unique(codes, return_inverse=True)
+        out.append(int(uniq.size))
+    return out
+
+
+def assert_same_histogram(got, want):
+    assert (got.k, got.total) == (want.k, want.total)
+    assert list(got.counts.items()) == list(want.counts.items())
 
 
 def test_alpha_vector_basics():
@@ -53,6 +112,67 @@ def test_histogram_total_conserved(rng):
         vals = rng.integers(0, 3, n)
         h = dq.block_histogram(vals, k)
         assert sum(h.counts.values()) == h.total == n - k + 1
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(alphabet=st.integers(1, 10), k=st.integers(1, 12),
+       extra=st.integers(1, 3000), period=st.integers(0, 40),
+       offset=st.integers(-12, 0), seed=st.integers(0, 2 ** 32 - 1))
+def test_window_statistics_match_reference(alphabet, k, extra, period, offset, seed):
+    # period > 0 repeats a random word, so long windows collide as well
+    rng = np.random.default_rng(seed)
+    n = k + extra
+    if period:
+        vals = np.resize(rng.integers(0, alphabet, period), n)
+    else:
+        vals = rng.integers(0, alphabet, n)
+    assert_same_histogram(dq.block_histogram(vals, k),
+                          reference_block_histogram(vals, k))
+    shifted = vals + offset
+    assert (dq.subword_complexity(shifted, k)
+            == reference_subword_complexity(shifted, k))
+
+
+def test_complexity_short_prefix_matches_brute_force(rng):
+    # 5 occurs only at the end, so there are fewer 2-windows than symbols
+    assert dq.subword_complexity([4, 3, 2, 5], 3) == [4, 3, 2]
+    for _ in range(200):
+        vals = rng.integers(0, 10, int(rng.integers(2, 16))).tolist()
+        n_max = len(vals) - 1
+        want = [len({tuple(vals[i:i + n]) for i in range(len(vals) - n + 1)})
+                for n in range(1, n_max + 1)]
+        assert dq.subword_complexity(vals, n_max) == want
+
+
+def test_complexity_crosses_the_rerank(thue_morse, rng):
+    # binary codes pass 2^62 at length 63, so lengths up to 70 re-rank
+    for vals in (dq.stream(thue_morse, dq.IDENTITY, 0, 5000),
+                 np.resize(rng.integers(0, 2, 97), 3000),
+                 rng.integers(0, 2, 3000)):
+        assert (dq.subword_complexity(vals, 70)
+                == reference_subword_complexity(vals, 70))
+
+
+def test_complexity_handles_wide_symbols(rng):
+    # a span beyond the prefix length is ranked; a narrow span far from 0
+    # is shifted to start at 0
+    big = np.array([0, 7, 2 ** 40 - 1, 2 ** 40, -(2 ** 40)], dtype=np.int64)
+    for vals in (big[rng.integers(0, big.size, 2000)],
+                 np.resize(big[rng.integers(0, big.size, 13)], 600),
+                 np.array([-(2 ** 63), 2 ** 63 - 1, 0, 2 ** 63 - 1] * 5),
+                 2 ** 50 + rng.integers(0, 3, 2000),
+                 -(2 ** 50) + rng.integers(0, 3, 2000)):
+        assert (dq.subword_complexity(vals, 12)
+                == reference_subword_complexity(vals, 12))
+
+
+def test_digit_sum_histogram_large_alphabet():
+    # 10^8 possible blocks, far more than windows
+    vals = dq.stream(dq.parse_preset("digit-sum:10"), dq.SQUARE, 0, 20000)
+    assert_same_histogram(dq.block_histogram(vals, 8),
+                          reference_block_histogram(vals, 8))
+    assert (dq.subword_complexity(vals, 8)
+            == reference_subword_complexity(vals, 8))
 
 
 def test_normality_deviation_uniform_case():
@@ -140,6 +260,18 @@ def test_S0_triangle_inequality(rng, rudin_shapiro):
         N = int(rng.integers(1, 3000))
         val = dq.exp_sum_S0(rudin_shapiro, AlphaVector((1, 1), 2), N)
         assert abs(val) <= N + 1e-9
+
+
+def test_S0_squares_past_int64_range():
+    # (N - 1)^2 q^(m-1) passes 2^62 at N = 2^22 for block-ones L = 19
+    f = dq.preset("block-ones", L=19)
+    N = 2 ** 22
+    got = dq.exp_sum_S0(f, AlphaVector((1,), 2), N)
+    vals = dq.stream(f, dq.SQUARE, 0, N)
+    want = complex(np.bincount(vals, minlength=2) @ roots_of_unity(2))
+    assert got == want
+    for n in range(N - 4, N):
+        assert vals[n] == dq.eval_b(f, n * n) % 2
 
 
 def test_S0_bit_identical_reruns(rudin_shapiro):
