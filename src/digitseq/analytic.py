@@ -221,7 +221,9 @@ class VaalerPolynomials:
     a_coeffs and b_coeffs hold the coefficients of A and B for
     h = -H..H (index h + H).  a_0 = alpha exactly,
     |a_h| <= min(alpha, 1/(pi |h|)), |b_h| <= 1/(H+1), and B >= 0
-    everywhere.
+    everywhere.  A, B and defect take x of any shape and return that
+    shape (a scalar gives shape (1,)); they share one Horner pass in
+    e(x), so no array of x.size x H values is ever built.
     """
 
     alpha: float
@@ -229,23 +231,38 @@ class VaalerPolynomials:
     a_coeffs: np.ndarray
     b_coeffs: np.ndarray
 
-    def _eval(self, coeffs: np.ndarray, x) -> np.ndarray:
+    def _eval(self, x) -> np.ndarray:
+        """(A(x), B(x)) stacked along a new first axis.
+
+        Both are real, so c_-h = conj(c_h) and each equals
+        Re(c_0 + 2 sum_{h=1..H} c_h z^h) with z = e(x - floor(x)): one
+        Horner pass over h = H..1 evaluates both in O(x.size) memory.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        hs = np.arange(-self.H, self.H + 1)
-        return (np.exp(2j * np.pi * np.outer(x, hs)) @ coeffs).real
+        budget_check("sum", x.size * (self.H + 1), "Vaaler evaluation")
+        c = np.stack([self.a_coeffs, self.b_coeffs])[:, self.H:]
+        c = c.reshape(c.shape + (1,) * x.ndim)
+        c2 = 2 * c
+        z = np.exp(2j * np.pi * (x - np.floor(x)))
+        p = np.zeros((2,) + x.shape, dtype=np.complex128)
+        for h in range(self.H, 0, -1):
+            p += c2[:, h]
+            p *= z
+        return c[:, 0].real + p.real
 
     def A(self, x) -> np.ndarray:
-        return self._eval(self.a_coeffs, x)
+        return self._eval(x)[0]
 
     def B(self, x) -> np.ndarray:
-        return self._eval(self.b_coeffs, x)
+        return self._eval(x)[1]
 
     def chi(self, x) -> np.ndarray:
         return chi_indicator(self.alpha, x)
 
     def defect(self, x) -> np.ndarray:
         """|chi - A| - B; nonpositive up to rounding."""
-        return np.abs(self.chi(x) - self.A(x)) - self.B(x)
+        A, B = self._eval(x)
+        return np.abs(self.chi(x) - A) - B
 
     def coefficient_margins(self):
         """(a-bound margins, b-bound margins); all must be >= 0."""
@@ -270,6 +287,7 @@ def vaaler_build(alpha: float, H: int) -> VaalerPolynomials:
         raise ValueError("alpha must lie in [0, 1)")
     if H < 1:
         raise ValueError("H must be >= 1")
+    budget_check("sum", 2 * H + 1, "Vaaler coefficients")
     hs = np.arange(-H, H + 1)
     a = np.zeros(2 * H + 1, dtype=np.complex128)
     b = np.zeros(2 * H + 1, dtype=np.complex128)
@@ -295,8 +313,8 @@ def box_detection_check(polys, xs) -> tuple:
     if len(xs) != d:
         raise ValueError("need one coordinate per polynomial pair")
     chi = [float(np.atleast_1d(p.chi(x))[0]) for p, x in zip(polys, xs)]
-    A = [float(np.atleast_1d(p.A(x))[0]) for p, x in zip(polys, xs)]
-    B = [float(np.atleast_1d(p.B(x))[0]) for p, x in zip(polys, xs)]
+    A, B = np.array([p._eval(x)[:, 0]
+                     for p, x in zip(polys, xs)]).reshape(d, 2).T.tolist()
     lhs = abs(math.prod(chi) - math.prod(A))
     rhs = 0.0
     for r in range(1, d + 1):

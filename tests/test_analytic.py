@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from digitseq import analytic as an
+from digitseq.budget import BudgetExceededError
 
 
 def brute_gauss(a, b, m):
@@ -193,6 +195,93 @@ def test_vaaler_validation():
         an.vaaler_build(1.0, 4)
     with pytest.raises(ValueError):
         an.vaaler_build(0.5, 0)
+
+
+def direct_sum(coeffs, x):
+    """Re sum_{h=-H..H} c_h e(h x) through the full exponential matrix."""
+    H = (coeffs.size - 1) // 2
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return (np.exp(2j * np.pi * np.outer(x, np.arange(-H, H + 1))) @ coeffs).real
+
+
+def mp_direct_sum(coeffs, trig):
+    """The same sum at 40 digits, e(h x) read from a table of
+    (cos 2 pi h x, sin 2 pi h x) for h >= 0 at each point x."""
+    H = (coeffs.size - 1) // 2
+    cr = [mpmath.mpf(c.real) for c in coeffs]
+    ci = [mpmath.mpf(-c.imag) for c in coeffs]
+    out = []
+    for cos, sin in trig:
+        cos_h = cos[H:0:-1] + cos[:H + 1]
+        sin_h = [-v for v in sin[H:0:-1]] + sin[:H + 1]
+        out.append(mpmath.fdot(cr, cos_h) + mpmath.fdot(ci, sin_h))
+    return out
+
+
+VAALER_MP_X = np.concatenate([np.arange(0, 1 << 12, 1 << 7) / (1 << 12),
+                              np.random.default_rng(7).uniform(-3, 3, 8),
+                              [1000.25, 1000.123]])
+
+
+@pytest.fixture(scope="module")
+def vaaler_mp_trig():
+    with mpmath.workdps(40):
+        trig = []
+        for x in VAALER_MP_X:
+            z = mpmath.expjpi(2 * mpmath.mpf(float(x)))
+            powers = [mpmath.mpc(1)]
+            for _ in range(256):
+                powers.append(powers[-1] * z)
+            trig.append(([w.real for w in powers], [w.imag for w in powers]))
+    return trig
+
+
+@pytest.mark.parametrize("H", [1, 2, 16, 64, 256])
+def test_vaaler_matches_mpmath(H, vaaler_mp_trig):
+    # grid points, points in [-3, 3] and large x, where an unreduced
+    # direct sum in doubles is off by more than 1e-13 already at H = 16
+    xs = VAALER_MP_X
+    for alpha in (0.0, 0.37, 0.999):
+        vp = an.vaaler_build(alpha, H)
+        with mpmath.workdps(40):
+            A = mp_direct_sum(vp.a_coeffs, vaaler_mp_trig)
+            B = mp_direct_sum(vp.b_coeffs, vaaler_mp_trig)
+            defect = [abs(c - a) - b for c, a, b in zip(vp.chi(xs), A, B)]
+        for got, want in ((vp.A(xs), A), (vp.B(xs), B), (vp.defect(xs), defect)):
+            assert np.abs(got - np.array(want, dtype=float)).max() <= 1e-13, alpha
+
+
+def test_vaaler_matches_direct_sum():
+    rng = np.random.default_rng(20261018)
+    xs = np.arange(1 << 10) / (1 << 10)
+    for _ in range(50):
+        vp = an.vaaler_build(float(rng.uniform(0, 1)), int(rng.integers(1, 65)))
+        A, B = vp._eval(xs)
+        assert np.abs(A - direct_sum(vp.a_coeffs, xs)).max() <= 1e-12
+        assert np.abs(B - direct_sum(vp.b_coeffs, xs)).max() <= 1e-12
+
+
+def test_vaaler_keeps_input_shape():
+    vp = an.vaaler_build(0.3, 4)
+    flat = np.linspace(-1, 2, 9)
+    want_A, want_B = vp.A(flat), vp.B(flat)
+    want = vp.defect(flat)
+    for shape in ((9, 1), (3, 3), (1, 9)):
+        x = flat.reshape(shape)
+        assert vp.A(x).shape == vp.B(x).shape == vp.defect(x).shape == shape
+        assert np.array_equal(vp.A(x).ravel(), want_A)
+        assert np.array_equal(vp.B(x).ravel(), want_B)
+        assert np.array_equal(vp.defect(x).ravel(), want)
+    assert vp.A(0.25).shape == vp.B(0.25).shape == vp.defect(0.25).shape == (1,)
+    assert vp.defect(0.25)[0] == vp.defect(np.array([0.25]))[0]
+
+
+def test_vaaler_budget():
+    with pytest.raises(BudgetExceededError):
+        an.vaaler_build(0.5, 1 << 21)  # 2H + 1 coefficients
+    vp = an.vaaler_build(0.5, 64)
+    with pytest.raises(BudgetExceededError):
+        vp.defect(np.zeros(70000))     # 70000 x (H + 1) terms
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,11 @@
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import digitseq as dq
+from digitseq import analytic as an
 from digitseq.cli import dispatch
 
 
@@ -131,6 +133,31 @@ def test_toolbox_vaaler(capsys):
     code, out = run(capsys, "toolbox", "vaaler", "--alpha", "0.5", "--H", "16")
     assert code == 0
     assert json.loads(out)["margin"] >= -1e-9
+
+
+def test_toolbox_vaaler_value_matches_mpmath(capsys):
+    code, out = run(capsys, "toolbox", "vaaler", "--alpha", "0.3", "--H", "16",
+                    "--grid", "64")
+    assert code == 0
+    vp = an.vaaler_build(0.3, 16)
+    hs = range(-16, 17)
+    with mpmath.workdps(40):
+        defects = []
+        for g in range(64):
+            x = mpmath.mpf(g) / 64
+            A, B = (mpmath.re(mpmath.fsum(mpmath.mpc(c) * mpmath.expjpi(2 * h * x)
+                                          for h, c in zip(hs, cs)))
+                    for cs in (vp.a_coeffs, vp.b_coeffs))
+            defects.append(abs(float(an.chi_indicator(0.3, g / 64)) - A) - B)
+        want = float(max(defects))
+    assert abs(json.loads(out)["value"] - want) <= 1e-15
+
+
+def test_toolbox_vaaler_over_budget(capsys):
+    # 2^22 grid points x (H + 1) terms; refused before any large allocation
+    assert dispatch(["toolbox", "vaaler", "--alpha", "0.3", "--H", "64",
+                     "--grid", str(1 << 22)]) == 2
+    assert "budget" in capsys.readouterr().err
 
 
 def test_toolbox_vdc(capsys):
