@@ -11,7 +11,7 @@ exactly as integers modulo the denominator before any float enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -97,10 +97,11 @@ def incomplete_gauss_sum(a: int, b: int, m: int, n0: int, N: int) -> BoundedValu
     if N < 0:
         raise ValueError("N must be >= 0")
     budget_check("sum", max(N, 1), "incomplete Gauss sum")
+    budget_check("sum", m, "incomplete Gauss sum modulus")
     if N == 0:
         value = 0j
     else:
-        ns = (np.arange(n0 + 1, n0 + N + 1, dtype=object) % m).astype(np.int64)
+        ns = ((n0 + 1) % m + np.arange(N, dtype=np.int64)) % m
         value = _quadratic_phase_sum(a, b, m, ns)
     bound = (N / m + 1 + (2 / math.pi) * math.log(2 * m / math.pi)) \
         * math.sqrt(2 * m * math.gcd(a, m))
@@ -135,13 +136,7 @@ class SinusSumReport:
         return self.single_sum <= self.single_bound * (1 + 1e-12) + _TOL
 
     def to_dict(self):
-        return {"single_sum": self.single_sum,
-                "single_bound": self.single_bound,
-                "single_ok": self.single_ok,
-                "double_sum": self.double_sum,
-                "shape_value": self.shape_value,
-                "shape_constant": self.shape_constant,
-                "tau_m": self.tau_m, "omega_m": self.omega_m}
+        return {**asdict(self), "single_ok": self.single_ok}
 
 
 def sinus_sum_checks(a: int, m: int, b: float, U: float, A: int = 1) -> SinusSumReport:
@@ -305,10 +300,9 @@ def box_detection_check(polys, xs) -> tuple:
     """(lhs, rhs) of the d-dimensional box-detection inequality.
 
     lhs = |prod chi - prod A| at the point xs; rhs sums, over nonempty
-    subsets J of coordinates, prod_{j not in J} chi * prod_{j in J} B.
+    subsets J of coordinates, prod_{j not in J} chi * prod_{j in J} B,
+    which expands to prod (chi + B) - prod chi.
     """
-    from itertools import combinations
-
     d = len(polys)
     if len(xs) != d:
         raise ValueError("need one coordinate per polynomial pair")
@@ -316,13 +310,7 @@ def box_detection_check(polys, xs) -> tuple:
     A, B = np.array([p._eval(x)[:, 0]
                      for p, x in zip(polys, xs)]).reshape(d, 2).T.tolist()
     lhs = abs(math.prod(chi) - math.prod(A))
-    rhs = 0.0
-    for r in range(1, d + 1):
-        for J in combinations(range(d), r):
-            term = 1.0
-            for j in range(d):
-                term *= B[j] if j in J else chi[j]
-            rhs += term
+    rhs = math.prod(c + b for c, b in zip(chi, B)) - math.prod(chi)
     return lhs, rhs
 
 
@@ -372,11 +360,7 @@ class CarryExperiment:
     constant: float        # max(counts) / expected_power
 
     def to_dict(self):
-        return {"nu": self.nu, "lam": self.lam, "rho": self.rho, "r": self.r,
-                "digit_exceptions": self.digit_exceptions,
-                "band_exceptions": self.band_exceptions,
-                "expected_power": self.expected_power,
-                "constant": self.constant}
+        return asdict(self)
 
 
 def carry_exception_count(f: DigitalFunction, nu: int, lam: int, rho: int,
@@ -428,11 +412,7 @@ class CarryDecomposition:
     constant: float
 
     def to_dict(self):
-        return {"nu": self.nu, "mu": self.mu, "lam": self.lam,
-                "rho_prime": self.rho_prime, "ell": self.ell, "s": self.s,
-                "r": self.r, "exceptions": self.exceptions,
-                "expected_power": self.expected_power,
-                "constant": self.constant}
+        return asdict(self)
 
 
 def carry_decomposition_check(f: DigitalFunction, nu: int, mu: int, lam: int,

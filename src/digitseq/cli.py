@@ -202,6 +202,9 @@ def _fourier_check_witness(ctx, rng, samples):
 def _cmd_fourier(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.check == "recursion" and args.lam < 2:
+        # the check draws its depths from [2, lambda]
+        raise ValueError(f"--check recursion needs --lambda >= 2, got {args.lam}")
     f = _load_function(args, need_normalized=True)
     alpha = AlphaVector.parse(args.alpha, f.m_prime)
     ctx = fourier.make_context(f, alpha, args.lam)
@@ -272,6 +275,8 @@ def _cmd_toolbox(args) -> int:
     elif sub == "vdc":
         f = _load_function(args, need_normalized=True)
         alpha = AlphaVector.parse(args.alpha, f.m_prime)
+        if len(alpha.numerators) != 1:
+            raise ValueError(f"vdc takes one --alpha numerator, got {args.alpha!r}")
         phases = seqgen.stream(f, seqgen.SQUARE, 0, args.N)
         z = np.exp(2j * np.pi * alpha.numerators[0] * phases / f.m_prime)
         lhs, rhs = analytic.van_der_corput_check(z, args.Q, args.R)

@@ -34,7 +34,7 @@ wider map values into all run on it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -249,7 +249,6 @@ class GcdConditionReport:
     table_scan_ok: bool             # every p | m' misses some table weight
     b_scan_ok: bool                 # every p | m' misses some b(n), n < q^m
     naive_gcd_scan_ok: bool         # some n < q^m has gcd(m', b(n)) == 1
-    per_prime_witnesses: tuple      # for each prime, (n_F, n_b) witnesses
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -261,17 +260,8 @@ class GcdConditionReport:
         return self.table_scan_ok and not self.naive_gcd_scan_ok
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "m_prime": self.m_prime,
-            "primes": list(self.primes),
-            "gcd_q_minus_1_ok": self.gcd_q_minus_1_ok,
-            "table_scan_ok": self.table_scan_ok,
-            "b_scan_ok": self.b_scan_ok,
-            "naive_gcd_scan_ok": self.naive_gcd_scan_ok,
-            "naive_scan_differs": self.naive_scan_differs,
-            "hypotheses_ok": self.hypotheses_ok,
-        }
+        return {**asdict(self), "naive_scan_differs": self.naive_scan_differs,
+                "hypotheses_ok": self.hypotheses_ok}
 
 
 def check_gcd_conditions(f: DigitalFunction) -> GcdConditionReport:
@@ -289,29 +279,16 @@ def check_gcd_conditions(f: DigitalFunction) -> GcdConditionReport:
         raise ValueError("gcd conditions need m_prime > 1")
     q, size = f.q, f.table_size
     g = f if f.is_normalized else normalize(f)
-    primes = list(_prime_factors(f.m_prime))
+    primes = tuple(_prime_factors(f.m_prime))
     bvals = [eval_b(f, n) for n in range(size)]
-
-    witnesses = []
-    table_ok = True
-    b_ok = True
-    for p in primes:
-        n_F = next((n for n in range(size) if g.F[n] % p != 0), None)
-        n_b = next((n for n in range(size) if bvals[n] % p != 0), None)
-        table_ok = table_ok and n_F is not None
-        b_ok = b_ok and n_b is not None
-        witnesses.append((n_F, n_b))
-
-    naive_ok = any(math.gcd(f.m_prime, bv) == 1 for bv in bvals)
     return GcdConditionReport(
         q=q,
         m_prime=f.m_prime,
-        primes=tuple(primes),
+        primes=primes,
         gcd_q_minus_1_ok=math.gcd(q - 1, f.m_prime) == 1,
-        table_scan_ok=table_ok,
-        b_scan_ok=b_ok,
-        naive_gcd_scan_ok=naive_ok,
-        per_prime_witnesses=tuple(witnesses),
+        table_scan_ok=all(any(g.F[n] % p != 0 for n in range(size)) for p in primes),
+        b_scan_ok=all(any(bv % p != 0 for bv in bvals) for p in primes),
+        naive_gcd_scan_ok=any(math.gcd(f.m_prime, bv) == 1 for bv in bvals),
     )
 
 
@@ -373,9 +350,9 @@ def _block_table(f: DigitalFunction, width: int):
     return total
 
 
-def _block_width(f: DigitalFunction, target: int = 1 << 18) -> int:
+def _block_width(f: DigitalFunction) -> int:
     width = 0
-    while f.q ** (width + f.m) <= target:
+    while f.q ** (width + f.m) <= 1 << 18:
         width += 1
     return max(width, 1)
 

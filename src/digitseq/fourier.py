@@ -524,29 +524,19 @@ class ConditionReport:
     h_count: int
     windows_checked: int
     worst_margin: float
-    violations: tuple
-    wrong_branch: bool = False
     worst_at: tuple = None      # (h, ell_hi, row) of the worst margin
+    violations: tuple = ()
+    wrong_branch: bool = False
 
     @property
     def ok(self) -> bool:
         return not self.wrong_branch and self.worst_margin >= -_EXACT_TOL
 
     def to_dict(self):
-        return {
-            "check": self.name,
-            "lam": self.lam,
-            "window": self.window,
-            "c0": self.c0,
-            "eta": self.eta,
-            "h_count": self.h_count,
-            "windows_checked": self.windows_checked,
-            "worst_margin": self.worst_margin,
-            "worst_at": None if self.worst_at is None else list(self.worst_at),
-            "violations": [list(v) for v in self.violations],
-            "wrong_branch": self.wrong_branch,
-            "ok": self.ok,
-        }
+        d = asdict(self)
+        return {"check": d.pop("name"), **d,
+                "worst_at": None if self.worst_at is None else list(self.worst_at),
+                "violations": [list(v) for v in self.violations], "ok": self.ok}
 
 
 # Byte cap on the nI^2 x nI^2 window matrices formed at once (docs/DECISIONS.md,
@@ -642,7 +632,7 @@ def check_condition2(ctx: FourierContext, h_samples=None, lam=None) -> Condition
         return ConditionReport(
             name="condition2", lam=lam, window=m1, c0=0.0, eta=eta,
             h_count=0, windows_checked=0, worst_margin=math.nan,
-            violations=(), wrong_branch=True,
+            wrong_branch=True,
         )
     if lam < m1:
         raise ValueError(f"need lam >= m1 = {m1}")
@@ -683,10 +673,7 @@ class DecayProfile:
     max_matrix_residual: float  # worst |g_avg - g_avg_matrix|
 
     def to_dict(self):
-        return {"rows": [r.to_dict() for r in self.rows],
-                "strictly_decreasing": self.strictly_decreasing,
-                "fitted_rate": self.fitted_rate,
-                "max_matrix_residual": self.max_matrix_residual}
+        return asdict(self)
 
 
 def prop1_decay_profile(ctx: FourierContext, I_prime, h: int,
@@ -803,8 +790,8 @@ class SavingSweepReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def prop2_saving_sweep(ctx: FourierContext, deltas=None, grid: int = 256,
-                       m1=None) -> SavingSweepReport:
+def prop2_saving_sweep(ctx: FourierContext, deltas=None,
+                       grid: int = 256) -> SavingSweepReport:
     """Check the fixed row-norm saving of M^m1_delta(z) on a z grid.
 
     In the non-integer-K regime the norm must stay below
@@ -815,7 +802,7 @@ def prop2_saving_sweep(ctx: FourierContext, deltas=None, grid: int = 256,
     ctx.require_nonzero_alpha("saving sweep")
     if ctx.alpha.is_integer_K:
         raise ValueError("row-norm saving applies to non-integer K")
-    m1 = ctx.m1_single() if m1 is None else int(m1)
+    m1 = ctx.m1_single()
     eta_p = ctx.eta_single()
     p = ctx.q ** m1
     bound = float(p) - eta_p
@@ -866,8 +853,6 @@ class WitnessRecord:
     eps2: int
     m1_prime: int
     beta_c0_num: int           # numerator of beta_{x0,c0} mod m'
-    partition: tuple           # ((c, members...), ...) at level x0
-    beta_numerators: tuple     # ((c, numerator), ...) at level x0
     eta_prime: float
     xi_gap_num: int            # numerator of xi1 - xi2 mod m' (nonzero)
     max_pair_sum: float        # max over the z grid of the two-term sums
@@ -881,22 +866,7 @@ class WitnessRecord:
         return self.clause_T_ok and self.clause_v_ok
 
     def to_dict(self):
-        return {
-            "I": list(self.I), "delta": self.delta, "d_key": self.d_key,
-            "x0": self.x0, "c0": self.c0, "c0_plus": self.c0_plus,
-            "e1": self.e1, "e2": self.e2, "d": self.d,
-            "eps1": self.eps1, "eps2": self.eps2,
-            "m1_prime": self.m1_prime,
-            "beta_c0_num": self.beta_c0_num,
-            "eta_prime": self.eta_prime,
-            "xi_gap_num": self.xi_gap_num,
-            "max_pair_sum": self.max_pair_sum,
-            "clause_T_ok": self.clause_T_ok,
-            "clause_v_ok": self.clause_v_ok,
-            "wrapped": self.wrapped,
-            "argument": self.argument,
-            "verified": self.verified,
-        }
+        return {**asdict(self), "I": list(self.I), "verified": self.verified}
 
 
 def _partition_at(keys, q: int, x: int):
@@ -908,8 +878,7 @@ def _partition_at(keys, q: int, x: int):
     return tuple(sorted(tuple(v) for v in classes.values()))
 
 
-def find_saving_witness(ctx: FourierContext, I, delta: int,
-                        d_param=None, z_grid: int = 256) -> WitnessRecord:
+def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     """Build and verify the saving certificate for one (I, delta).
 
     Walks the key partition until it stabilizes over one (4m-2)-digit
@@ -933,7 +902,7 @@ def find_saving_witness(ctx: FourierContext, I, delta: int,
     q, m, k, mp = ctx.q, ctx.m, ctx.k, ctx.m_prime
     m1 = ctx.m1_single()
     step = 4 * m - 2
-    dd = (int(delta) if d_param is None else int(d_param)) % q ** m1
+    dd = int(delta) % q ** m1
     shift = q ** (m - 1)
 
     keys = [I[ell] // shift + dd * ell for ell in range(k)]
@@ -977,8 +946,7 @@ def find_saving_witness(ctx: FourierContext, I, delta: int,
     xi = [(b - a) % mp for a, b in ph]
     xi_gap = (xi[0] - xi[1]) % mp
 
-    ts = np.arange(z_grid)
-    zg = np.exp(2j * np.pi * ts / z_grid)
+    zg = np.exp(2j * np.pi * np.arange(256) / 256)
     gap = (eps[1] - eps[0]) % pm1p
     if gap in (1, pm1p - 1):
         # the pairs share an eps: bound the chain s, s+1, s+2 as a whole,
@@ -1003,12 +971,9 @@ def find_saving_witness(ctx: FourierContext, I, delta: int,
     record = WitnessRecord(
         I=tuple(I), delta=int(delta), d_key=dd, x0=x0, c0=c0, c0_plus=c0_plus,
         e1=e1, e2=e2, d=d, eps1=eps[0], eps2=eps[1], m1_prime=m1p,
-        beta_c0_num=beta_num,
-        partition=tuple(sorted((c, tuple(v)) for c, v in classes.items())),
-        beta_numerators=tuple(sorted(beta_nums.items())),
-        eta_prime=eta_p, xi_gap_num=xi_gap, max_pair_sum=max_pair,
-        clause_T_ok=clause_T, clause_v_ok=clause_v, wrapped=wrapped,
-        argument=argument,
+        beta_c0_num=beta_num, eta_prime=eta_p, xi_gap_num=xi_gap,
+        max_pair_sum=max_pair, clause_T_ok=clause_T, clause_v_ok=clause_v,
+        wrapped=wrapped, argument=argument,
     )
     if not record.verified:
         raise RuntimeError(f"witness verification failed: {record.to_dict()}")
@@ -1043,9 +1008,7 @@ class UniformDecayReport:
         return [r for r in self.rows if r.ratio > constant_cap]
 
     def to_dict(self):
-        return {"eta": self.eta, "m1": self.m1,
-                "rows": [r.to_dict() for r in self.rows],
-                "empirical_constant": self.empirical_constant}
+        return asdict(self)
 
 
 def prop2_decay_check(ctx: FourierContext, I_prime, h: int, d: int,

@@ -105,13 +105,8 @@ def block_histogram(values, k: int) -> BlockHistogram:
     for codes in _window_codes(values, base, k):
         pass
     uniq, cnt = np.unique(codes, return_counts=True)
-    counts = {}
-    for code, c in zip(uniq.tolist(), cnt.tolist()):
-        block = []
-        for _ in range(k):
-            code, r = divmod(code, base)
-            block.append(r)
-        counts[tuple(reversed(block))] = c
+    blocks = uniq[:, None] // base ** np.arange(k - 1, -1, -1) % base
+    counts = dict(zip(map(tuple, blocks.tolist()), cnt.tolist()))
     return BlockHistogram(k=k, counts=counts, total=values.size - k + 1)
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from itertools import combinations
 
 import mpmath
 import numpy as np
@@ -70,6 +71,25 @@ def test_incomplete_gauss_sweep(rng):
         n0 = int(rng.integers(0, 10 ** 6))
         N = int(rng.integers(0, 512))
         assert an.incomplete_gauss_sum(a, b, m, n0, N).ok
+
+
+def test_incomplete_gauss_modulus_over_budget(monkeypatch):
+    # the sum bincounts into m bins: m is budgeted like N
+    monkeypatch.delenv("DIGITSEQ_BUDGET", raising=False)
+
+    def no_sum(*args):
+        raise AssertionError("phase sum reached past the budget check")
+
+    monkeypatch.setattr(an, "_quadratic_phase_sum", no_sum)
+    with pytest.raises(BudgetExceededError):
+        an.incomplete_gauss_sum(1, 0, (1 << 22) + 1, 0, 3)
+
+
+def test_incomplete_gauss_far_start_matches_python_ints():
+    a, b, m, n0, N = 7, 3, 1009, 10 ** 30, 500
+    want = sum(cmath.exp(2j * cmath.pi * ((a * n * n + b * n) % m) / m)
+               for n in range(n0 + 1, n0 + N + 1))
+    assert an.incomplete_gauss_sum(a, b, m, n0, N).value == pytest.approx(want, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -188,6 +208,31 @@ def test_box_detection(rng):
         xs = rng.uniform(-1, 2, d)
         lhs, rhs = an.box_detection_check(polys, xs)
         assert lhs <= rhs + 1e-9
+
+
+def subset_sum_rhs(chi, B):
+    """sum over nonempty J of prod_{j not in J} chi_j prod_{j in J} B_j."""
+    d = len(chi)
+    rhs = 0.0
+    for r in range(1, d + 1):
+        for J in combinations(range(d), r):
+            term = 1.0
+            for j in range(d):
+                term *= B[j] if j in J else chi[j]
+            rhs += term
+    return rhs
+
+
+def test_box_detection_matches_subset_sum(rng):
+    for _ in range(400):
+        d = int(rng.integers(1, 6))
+        polys = [an.vaaler_build(float(rng.uniform(0.05, 0.95)),
+                                 int(rng.integers(1, 16))) for _ in range(d)]
+        xs = rng.uniform(-1, 2, d)
+        chi = [float(p.chi(x)) for p, x in zip(polys, xs)]
+        B = [float(p.B(x)[0]) for p, x in zip(polys, xs)]
+        _, rhs = an.box_detection_check(polys, xs)
+        assert abs(rhs - subset_sum_rhs(chi, B)) <= 1e-12
 
 
 def test_vaaler_validation():

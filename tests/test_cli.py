@@ -160,6 +160,32 @@ def test_toolbox_vaaler_over_budget(capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_toolbox_gauss_count_over_budget(capsys):
+    # m bins and m^2 residues: refused before anything of size m is built
+    assert dispatch(["toolbox", "gauss", "-a", "1", "-b", "0",
+                     "-m", "3000000000", "--count", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
+
+
+def test_fourier_recursion_rejects_lambda_below_two(capsys):
+    # the check draws its depths from [2, lambda]
+    for lam in ("1", "0"):
+        assert dispatch(["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1",
+                         "--lambda", lam, "--check", "recursion"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --check recursion needs --lambda >= 2, got {lam}\n"
+
+
+def test_toolbox_vdc_rejects_several_numerators(capsys):
+    assert dispatch(["toolbox", "vdc", "--preset", "rudin-shapiro",
+                     "--alpha", "1,1", "--N", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: vdc takes one --alpha numerator, got '1,1'\n"
+
+
 def test_toolbox_vdc(capsys):
     code, out = run(capsys, "toolbox", "vdc", "--preset", "thue-morse",
                     "--N", "256", "--Q", "2", "--R", "4")
@@ -281,6 +307,36 @@ GOLDEN = [
     ("expsum_rs_10_grid2e10_2e16.json",
      ["expsum", "--preset", "rudin-shapiro", "--alpha", "1,0",
       "--grid", GRID_2E10_2E16, "--report", "json"]),
+    ("fourier_cond1_rs_11_lam8.json",
+     ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1",
+      "--lambda", "8", "--check", "cond1"]),
+    ("fourier_cond2_rs_11_lam10.json",
+     ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1",
+      "--lambda", "10", "--check", "cond2"]),
+    ("fourier_witness_rs_10_lam8_s8.json",
+     ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,0",
+      "--lambda", "8", "--check", "witness", "--samples", "8"]),
+    ("fourier_prop1_rs_11_lam8.json",
+     ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1",
+      "--lambda", "8", "--check", "prop1"]),
+    ("fourier_prop2_rs_10_lam8.json",
+     ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,0",
+      "--lambda", "8", "--check", "prop2"]),
+    ("toolbox_carry_shift_rs.json",
+     ["toolbox", "carry", "--preset", "rudin-shapiro", "--nu", "10",
+      "--lambda", "14", "--rho", "2", "-r", "3"]),
+    ("toolbox_carry_decomposition_rs.json",
+     ["toolbox", "carry", "--preset", "rudin-shapiro",
+      "--variant", "decomposition", "--nu", "10", "--mu", "4",
+      "--lambda", "14", "--rho-prime", "1", "-r", "3"]),
+    ("toolbox_sinsum_a5_m64_A8.json",
+     ["toolbox", "sinsum", "-a", "5", "-m", "64", "-U", "100", "-A", "8"]),
+    ("toolbox_gauss_count_a5_m701.json",
+     ["toolbox", "gauss", "-a", "5", "-b", "2", "-m", "701",
+      "--n0", "1000000", "--count", "300"]),
+    ("toolbox_vdc_tm_N256.json",
+     ["toolbox", "vdc", "--preset", "thue-morse", "--N", "256",
+      "--Q", "2", "--R", "4"]),
 ]
 
 

@@ -1,5 +1,7 @@
 """Core digital-function behaviour against independent window oracles."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +305,23 @@ def test_gcd_conditions_scan_equivalence(rng):
 def test_gcd_conditions_thue_morse_mod_3():
     rep = dq.check_gcd_conditions(dq.make_digital_function(2, 1, [0, 1], 3))
     assert rep.gcd_q_minus_1_ok  # q - 1 = 1
+
+
+def test_gcd_conditions_json_is_pinned(rudin_shapiro):
+    # sorted-key JSON of the report, as the package emitted it before the
+    # reports serialized from their own fields
+    want = [
+        (rudin_shapiro,
+            '{"b_scan_ok": true, "gcd_q_minus_1_ok": true, "hypotheses_ok": true, '
+            '"m_prime": 2, "naive_gcd_scan_ok": true, "naive_scan_differs": false, '
+            '"primes": [2], "q": 2, "table_scan_ok": true}'),
+        (dq.preset("digit-sum", q=3, m_prime=6),
+            '{"b_scan_ok": true, "gcd_q_minus_1_ok": false, "hypotheses_ok": false, '
+            '"m_prime": 6, "naive_gcd_scan_ok": true, "naive_scan_differs": false, '
+            '"primes": [2, 3], "q": 3, "table_scan_ok": true}'),
+    ]
+    for f, text in want:
+        assert json.dumps(dq.check_gcd_conditions(f).to_dict(), sort_keys=True) == text
 
 
 def test_gcd_conditions_rejects_trivial_modulus(thue_morse):
