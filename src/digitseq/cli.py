@@ -71,10 +71,12 @@ def _cmd_generate(args) -> int:
     if args.format == "raw":
         if f.m_prime > 10:
             raise ValueError("raw output needs m_prime <= 10; use --format csv")
-        chunks = []
-        for i in range(0, values.size, 64):
-            chunks.append("".join(map(str, values[i:i + 64].tolist())))
-        _emit(args, "\n".join(chunks) + ("\n" if values.size else ""))
+        # 64 digits a line: fill rows of 64 digits and a newline, then cut
+        # the last row after its digits and one newline
+        rows = -(-values.size // 64)
+        text = np.full((rows, 65), ord("\n"), dtype=np.uint8)
+        text[:, :64].flat[:values.size] = values.astype(np.uint8) + ord("0")
+        _emit(args, text.tobytes()[:values.size + rows].decode("ascii"))
     else:
         lines = ["t,n,value"]
         for off, v in enumerate(values.tolist()):
@@ -92,11 +94,10 @@ def _cmd_stats(args) -> int:
     f = _load_function(args, need_normalized=True)
     index_map = seqgen.parse_index_map(args.map)
     values = seqgen.stream(f, index_map, 0, args.N, threads=args.threads)
-    hist = normality.block_histogram(values, args.k)
-    report = normality.normality_deviation(hist, f.m_prime)
     # complexity needs a prefix longer than the window; N = 1 has none
     n_max = min(args.k, values.size - 1)
-    comp = normality.subword_complexity(values, n_max) if n_max >= 1 else []
+    hist, comp = normality._block_statistics(values, args.k, n_max)
+    report = normality.normality_deviation(hist, f.m_prime)
     if args.report == "json":
         counts = {"".join(map(str, block)): c
                   for block, c in sorted(hist.counts.items())}
@@ -182,7 +183,8 @@ def _fourier_check_prop2(ctx, rng, samples):
     d = int(rng.integers(0, ctx.q ** ctx.lam))
     grid = list(range(0, ctx.lam + 1, 2))
     report = fourier.prop2_decay_check(ctx, (0,) * ctx.k, h, d, grid)
-    return {"h": h, "d": d, "report": report.to_dict(), "ok": True}
+    # the uniform-decay constant is reported, not asserted: no "ok" key
+    return {"h": h, "d": d, "report": report.to_dict()}
 
 
 def _fourier_check_witness(ctx, rng, samples):
@@ -287,16 +289,20 @@ def _cmd_toolbox(args) -> int:
     elif sub == "carry":
         f = _load_function(args, need_normalized=True)
         if args.variant == "shift":
-            res = analytic.carry_exception_count(f, args.nu, args.lam,
-                                                 args.rho, args.r)
+            inputs = {"nu": args.nu, "lam": args.lam, "rho": args.rho,
+                      "r": args.r}
+            res = analytic.carry_exception_count(f, **inputs)
             value = float(max(res.digit_exceptions, res.band_exceptions))
         else:
-            res = analytic.carry_decomposition_check(
-                f, args.nu, args.mu, args.lam, args.rho_prime,
-                args.ell, args.s, args.r)
+            inputs = {"nu": args.nu, "mu": args.mu, "lam": args.lam,
+                      "rho_prime": args.rho_prime, "ell": args.ell,
+                      "s": args.s, "r": args.r}
+            res = analytic.carry_decomposition_check(f, **inputs)
             value = float(res.exceptions)
-        _toolbox_report(args, res.to_dict(), value,
-                        float(res.expected_power), None, res.constant)
+        counts = {key: v for key, v in res.to_dict().items()
+                  if key not in inputs and key != "constant"}
+        _toolbox_report(args, inputs, value, float(res.expected_power),
+                        None, res.constant, **counts)
     else:  # sinsum
         res = analytic.sinus_sum_checks(args.a, args.m, args.b, args.U, args.A)
         _toolbox_report(args,

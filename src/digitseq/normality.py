@@ -14,6 +14,7 @@ bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -74,24 +75,51 @@ class BlockHistogram:
 
 
 def _window_codes(symbols: np.ndarray, base: int, n_max: int):
-    """Yield codes of the length-n windows of symbols in [0, base), n <= n_max.
+    """Yield (codes, bound) for the length-n windows of symbols in [0, base).
 
-    Codes are equal, and sort, as their windows do.  Each length is one
-    multiply-add on the last; ranks replace codes before they pass 2^62.
+    n runs from 1 to n_max.  Codes are equal, and sort, as their windows
+    do, and lie below bound.  They are held in the narrowest unsigned
+    dtype that holds base^n_max (int64 past 32 bits), and each length is
+    one in-place multiply-add on the last, so a yielded array is
+    overwritten by the next length.  Ranks replace int64 codes before
+    they pass 2^62.
     """
-    codes, bound = symbols, base       # every code lies below bound
-    yield codes
+    top = base ** min(n_max, 33)   # base^n_max, up to where 32 bits end
+    dtype = next((t for t in (np.uint8, np.uint16, np.uint32)
+                  if top <= 1 << np.iinfo(t).bits), np.int64)
+    sym = symbols.astype(dtype, copy=False)
+    codes, bound = sym.copy(), base
+    yield codes, bound
     for n in range(2, n_max + 1):
         if bound * base > 1 << 62:
             uniq, codes = np.unique(codes, return_inverse=True)
             bound = uniq.size
-        codes = codes[:-1] * base + symbols[n - 1:]
+        codes = codes[:-1]
+        codes *= base
+        codes += sym[n - 1:]
         bound *= base
-        yield codes
+        yield codes, bound
 
 
-def block_histogram(values, k: int) -> BlockHistogram:
-    """Count all length-k windows of the sequence."""
+def _count(codes: np.ndarray, bound: int):
+    """Distinct codes in [0, bound), ascending, and their counts.
+
+    Bins are counted directly when there are no more of them than codes,
+    so the table never outgrows the input; sparse codes are sorted.
+    """
+    if bound <= codes.size:
+        cnt = np.bincount(codes, minlength=bound)
+        uniq = np.flatnonzero(cnt)
+        return uniq, cnt[uniq]
+    return np.unique(codes, return_counts=True)
+
+
+def _block_statistics(values, k: int, n_max: int = 0):
+    """Histogram of the length-k windows, and p(1), ..., p(n_max) for n_max <= k.
+
+    One pass of the window codes serves both.  Distinct-window counts do
+    not depend on the encoding, so they equal `subword_complexity`'s.
+    """
     values = np.asarray(values, dtype=np.int64)
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
@@ -102,12 +130,20 @@ def block_histogram(values, k: int) -> BlockHistogram:
     base = int(values.max()) + 1
     if base ** k >= 1 << 62:
         raise ValueError("alphabet^k too large to encode windows")
-    for codes in _window_codes(values, base, k):
-        pass
-    uniq, cnt = np.unique(codes, return_counts=True)
+    complexity = []
+    for n, (codes, bound) in enumerate(_window_codes(values, base, k), 1):
+        if n <= n_max or n == k:
+            uniq, cnt = _count(codes, bound)
+            complexity.append(uniq.size)
     blocks = uniq[:, None] // base ** np.arange(k - 1, -1, -1) % base
     counts = dict(zip(map(tuple, blocks.tolist()), cnt.tolist()))
-    return BlockHistogram(k=k, counts=counts, total=values.size - k + 1)
+    hist = BlockHistogram(k=k, counts=counts, total=values.size - k + 1)
+    return hist, complexity[:n_max]
+
+
+def block_histogram(values, k: int) -> BlockHistogram:
+    """Count all length-k windows of the sequence."""
+    return _block_statistics(values, k)[0]
 
 
 @dataclass(frozen=True)
@@ -170,23 +206,36 @@ def subword_complexity(values, n_max: int) -> list:
         base = uniq.size
     else:
         symbols, base = values - lo, hi - lo + 1
-    return [np.unique(codes, return_counts=True)[1].size
-            for codes in _window_codes(symbols, base, n_max)]
+    return [_count(codes, bound)[0].size
+            for codes, bound in _window_codes(symbols, base, n_max)]
 
 
-def _phase_table(f: DigitalFunction, alpha: AlphaVector, N: int) -> np.ndarray:
-    """Integer phases sum_l num_l * b((n+l)^2) mod m' for n < N.
+def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
+    """Counts of each phase sum_l num_l * b((n+l)^2) mod m' between grid points.
 
-    b(n^2) mod m' comes from `stream`, exact for squares up to 2^126.
+    Row i counts n in [grid[i-1], grid[i]), and row 0 counts n < grid[0].
+    b(n^2) mod m' comes from `stream`, exact for squares up to
+    2^126, in chunks of 2^16 phases that each read k - 1 squares past
+    their end, so memory stays O(chunk) for any N.
     """
     if alpha.m_prime != f.m_prime:
         raise ValueError("alpha and function moduli differ")
-    bsq = stream(f, SQUARE, 0, N + alpha.k - 1)
-    phases = np.zeros(N, dtype=np.int64)
-    for ell, num in enumerate(alpha.numerators):
-        if num:
-            phases += num * bsq[ell:ell + N]
-    return phases % f.m_prime
+    chunk, top = 1 << 16, grid[-1]
+    counts = np.zeros((len(grid), f.m_prime), dtype=np.int64)
+    for s in range(0, top, chunk):
+        c = min(chunk, top - s)
+        bsq = stream(f, SQUARE, s, c + alpha.k - 1)
+        phases = np.zeros(c, dtype=np.int64)
+        for ell, num in enumerate(alpha.numerators):
+            if num:
+                phases += num * bsq[ell:ell + c]
+        phases %= f.m_prime
+        i, lo = bisect.bisect_right(grid, s), s   # grid[i] is the next cut
+        while lo < s + c:
+            hi = min(grid[i], s + c)
+            counts[i] += np.bincount(phases[lo - s:hi - s], minlength=f.m_prime)
+            i, lo = i + 1, hi
+    return counts
 
 
 def exp_sum_S0(f: DigitalFunction, alpha: AlphaVector, N: int) -> complex:
@@ -194,7 +243,7 @@ def exp_sum_S0(f: DigitalFunction, alpha: AlphaVector, N: int) -> complex:
     if N < 1:
         raise ValueError("N must be >= 1")
     budget_check("sum", N, "exponential sum")
-    counts = np.bincount(_phase_table(f, alpha, N), minlength=f.m_prime)
+    counts = _phase_counts(f, alpha, [N])[0]
     return complex(counts @ roots_of_unity(f.m_prime))
 
 
@@ -241,12 +290,10 @@ def decay_exponent(f: DigitalFunction, alpha: AlphaVector, N_grid) -> DecayFit:
     if grid[0] < 1:
         raise ValueError("grid entries must be >= 1")
     budget_check("sum", grid[-1], "exponential sum grid")
-    phases = _phase_table(f, alpha, grid[-1])
     roots = roots_of_unity(f.m_prime)
     rows = []
-    segments = [np.bincount(phases[a:b], minlength=f.m_prime)
-                for a, b in zip([0] + grid, grid)]   # each phase counted once
-    for N, counts in zip(grid, np.cumsum(segments, axis=0)):
+    # each phase is counted once, in its segment between grid points
+    for N, counts in zip(grid, np.cumsum(_phase_counts(f, alpha, grid), axis=0)):
         val = complex(counts @ roots)
         mag = abs(val)
         rows.append(DecayRow(N=N, value=val, magnitude=mag,

@@ -33,6 +33,26 @@ def test_generate_wraps_lines_every_64(capsys):
     assert [len(s) for s in lines] == [64, 64, 2]
 
 
+def reference_raw(values):
+    """Raw text joined one 64-symbol line at a time."""
+    chunks = []
+    for i in range(0, values.size, 64):
+        chunks.append("".join(map(str, values[i:i + 64].tolist())))
+    return "\n".join(chunks) + ("\n" if values.size else "")
+
+
+@pytest.mark.parametrize("preset", ["rudin-shapiro", "digit-sum:10"])
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 128, 1000, 10 ** 6])
+def test_generate_raw_matches_line_join(tmp_path, preset, count):
+    target = tmp_path / "raw.txt"
+    code = dispatch(["generate", "--preset", preset, "--map", "square",
+                     "--start", "7", "--count", str(count),
+                     "--out", str(target)])
+    assert code == 0
+    values = dq.stream(dq.parse_preset(preset), dq.SQUARE, 7, count)
+    assert target.read_bytes() == reference_raw(values).encode("ascii")
+
+
 def test_generate_csv(capsys):
     code, out = run(capsys, "generate", "--preset", "thue-morse",
                     "--map", "square", "--count", "3", "--format", "csv")

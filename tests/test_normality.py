@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
-from digitseq.normality import AlphaVector
+from digitseq.normality import AlphaVector, _block_statistics
 from digitseq.phases import roots_of_unity
 
 
@@ -133,6 +133,35 @@ def test_window_statistics_match_reference(alphabet, k, extra, period, offset, s
             == reference_subword_complexity(shifted, k))
 
 
+# (base, n) with base^n at each dtype edge of the window codes (2^8, 2^16,
+# 2^32) and just past it
+DTYPE_EDGES = [(2, 8), (16, 2), (256, 1), (257, 1), (2, 9),
+               (2, 16), (256, 2), (65536, 1), (65537, 1), (257, 2),
+               (2, 32), (16, 8), (65536, 2), (2 ** 32 + 1, 1), (2, 33)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(edge=st.sampled_from(DTYPE_EDGES), slack=st.integers(-2, 2),
+       n_max=st.integers(0, 33), seed=st.integers(0, 2 ** 32 - 1))
+def test_window_kernels_at_dtype_edges(edge, slack, n_max, seed):
+    # windows = base^n + slack, so bincount and the sorted count both run
+    # near their switch, unless the reference would decode too many digits
+    base, k = edge
+    bound = base ** k
+    windows = (bound if bound * k <= 1 << 18 else 1 << 12) + slack
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(0, base, windows + k - 1)
+    vals[[0, -1]] = 0, base - 1          # the alphabet is exactly [0, base)
+    want = reference_block_histogram(vals, k)
+    assert_same_histogram(dq.block_histogram(vals, k), want)
+    assert (dq.subword_complexity(vals, k)
+            == reference_subword_complexity(vals, k))
+    n_max = min(n_max, k)
+    hist, comp = _block_statistics(vals, k, n_max)
+    assert_same_histogram(hist, want)
+    assert comp == (reference_subword_complexity(vals, n_max) if n_max else [])
+
+
 def test_complexity_short_prefix_matches_brute_force(rng):
     # 5 occurs only at the end, so there are fewer 2-windows than symbols
     assert dq.subword_complexity([4, 3, 2, 5], 3) == [4, 3, 2]
@@ -253,6 +282,51 @@ def test_S0_matches_bruteforce(rng, thue_morse, rudin_shapiro):
         N = int(rng.integers(5, 60))
         got = dq.exp_sum_S0(f, AlphaVector(nums, f.m_prime), N)
         assert got == pytest.approx(brute_S0(f, nums, N), abs=1e-9)
+
+
+def reference_phase_table(f, alpha, N):
+    """Integer phases for n < N from one N-length stream of b(n^2)."""
+    bsq = dq.stream(f, dq.SQUARE, 0, N + alpha.k - 1)
+    phases = np.zeros(N, dtype=np.int64)
+    for ell, num in enumerate(alpha.numerators):
+        if num:
+            phases += num * bsq[ell:ell + N]
+    return phases % f.m_prime
+
+
+CHUNK_GRIDS = [[2 ** 16 - 1, 2 ** 16 + 1, 3 * 2 ** 16 + 5],
+               [1, 2, 2 ** 16, 2 * 2 ** 16, 2 * 2 ** 16 + 1]]
+
+
+@pytest.mark.parametrize("grid", CHUNK_GRIDS)
+@pytest.mark.parametrize("name,nums,m_prime", [
+    ("rudin-shapiro", (1, 0, 1), 2), ("thue-morse", (1,), 2),
+    ("digit-sum", (1, 2, 0), 3), ("digit-sum", (0, 2, 2), 3)])
+def test_chunked_phases_match_phase_table(name, nums, m_prime, grid):
+    # grid points on both sides of the 2^16-phase chunks
+    f = (dq.preset(name, q=3, m_prime=3) if name == "digit-sum"
+         else dq.preset(name))
+    alpha = AlphaVector(nums, m_prime)
+    phases = reference_phase_table(f, alpha, grid[-1])
+    roots = roots_of_unity(m_prime)
+    want = [complex(np.bincount(phases[:N], minlength=m_prime) @ roots)
+            for N in grid]
+    fit = dq.decay_exponent(f, alpha, grid)
+    assert [r.value for r in fit.rows] == want
+    assert [dq.exp_sum_S0(f, alpha, N) for N in grid] == want
+
+
+def test_decay_exponent_memory_is_bounded(rudin_shapiro):
+    # an N-length phase table alone would take 32 MB at N = 2^22
+    import tracemalloc
+    alpha = AlphaVector((1, 1), 2)
+    tracemalloc.start()
+    try:
+        dq.decay_exponent(rudin_shapiro, alpha, [2 ** 10, 2 ** 22])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_S0_triangle_inequality(rng, rudin_shapiro):
