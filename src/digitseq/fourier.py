@@ -52,7 +52,7 @@ import numpy as np
 from .budget import check as budget_check
 from .digital import DigitalFunction, eval_b_band_many
 from .normality import AlphaVector
-from .phases import e_frac, frac_norm, roots_of_unity
+from .phases import e_frac, roots_of_unity
 
 _TOL = 1e-9
 _EXACT_TOL = 1e-12
@@ -439,11 +439,12 @@ def _digit_matrices(ctx, zpow: np.ndarray) -> np.ndarray:
 def _digit_matrices_at(ctx, nums, dens) -> np.ndarray:
     """A_delta(e(num/den)) for broadcast arrays of int64 num and den.
 
-    Each phase eps num/den is reduced mod 1 in integers first.
+    Each phase eps num/den is reduced mod 1 in integers and divided before
+    the 2 pi, so equal rationals over any den give equal matrices.
     """
     nums, dens = np.asarray(nums)[..., None], np.asarray(dens)[..., None]
     eps = np.arange(ctx.q, dtype=np.int64)
-    return _digit_matrices(ctx, np.exp(2j * np.pi * (eps * (nums % dens) % dens) / dens))
+    return _digit_matrices(ctx, np.exp(2j * np.pi * ((eps * (nums % dens) % dens) / dens)))
 
 
 def _kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -492,17 +493,6 @@ def psi_vector(ctx: FourierContext, h: int, lam: int, lam_prime: int) -> np.ndar
     return X.reshape(-1)
 
 
-def phi_bruteforce(ctx: FourierContext, I, I2, h: int, lam: int,
-                   lam_prime: int) -> complex:
-    """avg_{d < q^lam'} G_lam^I(h,d) conj(G_lam^I2(h,d)) by direct sum."""
-    n = ctx.q ** lam_prime
-    budget_check("sum", n * ctx.q ** lam, "pair correlation average")
-    total = 0j
-    for d in range(n):
-        total += fourier_G(ctx, I, h, d, lam) * np.conj(fourier_G(ctx, I2, h, d, lam))
-    return complex(total / n)
-
-
 # ----------------------------------------------------------------------
 # contraction condition checks
 
@@ -540,43 +530,42 @@ class ConditionReport:
 
 
 # Byte cap on the nI^2 x nI^2 window matrices formed at once (docs/DECISIONS.md,
-# 4): RS k=2 at lam=12 takes 10 h at a time, RS k=3 (1.7 MB a window) one.
+# 4 and 12): RS k=2 takes 101 distinct windows at a time, RS k=3 (1.7 MB) one.
 _WINDOW_BYTES = 1 << 21
 
 
 def _window_report(ctx, name, h_samples, lam, width, c0, eta, margins_of):
     """Report on every width-wide window, top ell_hi = lam down to width.
 
-    margins_of(A, tops) maps the digit matrices of a batch of h and some
-    window tops to margins of shape (h, window, row).  The worst margin,
-    where it fell and the first 16 violations are kept in h, then
-    ell_hi order.
+    The window at (h, ell_hi) is M(beta) M(q beta) ... M(q^(w-1) beta),
+    beta = g/q^lam with key g = (h mod q^ell_hi) q^(lam - ell_hi), so each
+    distinct key is formed once.  margins_of(A) maps the factors
+    A[key, i] = A_delta(e(-g q^i/q^lam)), i < width, of a batch of keys to
+    margins of shape (key, row).  The worst margin, where it fell and the
+    first 16 violations are read in h, then ell_hi order.
     """
     if h_samples is None:
         h_samples = stratified_samples(ctx.q ** (lam + ctx.m - 1), 1 << 10)
-    tops, dens = np.arange(lam, width - 1, -1), ctx.q ** np.arange(1, lam + 1)
+    if len(h_samples) == 0:
+        raise ValueError("h_samples must not be empty")
+    q, top = ctx.q, ctx.q ** lam
+    tops, i = np.arange(lam, width - 1, -1), np.arange(width)
+    hs = np.array([int(h) % top for h in h_samples], dtype=np.int64)[:, None]
+    keys, inv = np.unique(hs % q ** tops * q ** (lam - tops), return_inverse=True)
     fit = max(1, _WINDOW_BYTES // (16 * len(ctx.index_vectors()) ** 4))
-    batch, step = max(1, fit // tops.size), min(fit, tops.size)
-    worst, worst_at, violations = math.inf, None, []
-    for start in range(0, len(h_samples), batch):
-        hs = h_samples[start:start + batch]
-        # A[h, ell - 1, delta] = A_delta(e(-h/q^ell)), ell = 1..lam
-        nums = np.array([[-int(h) % ctx.q ** lam] for h in hs])
-        A = _digit_matrices_at(ctx, nums, dens)
-        for part in np.split(tops, range(step, tops.size, step)):
-            margins = margins_of(A, part)
-            lo = margins.min(axis=2)
-            b, w = np.unravel_index(np.argmin(lo), lo.shape)
-            if lo[b, w] < worst:
-                worst = float(lo[b, w])
-                worst_at = (int(hs[b]), int(part[w]), int(margins[b, w].argmin()))
-            for b, w in np.argwhere(lo < -_EXACT_TOL)[:16 - len(violations)]:
-                violations.append((int(hs[b]), int(part[w]),
-                                   int(margins[b, w].argmin()), float(lo[b, w])))
+    lo, rows = np.empty(keys.size), np.empty(keys.size, dtype=np.int64)
+    for s in range(0, keys.size, fit):
+        g = keys[s:s + fit, None]  # g q^i mod q^lam = (g mod q^(lam-i)) q^i
+        margins = margins_of(_digit_matrices_at(ctx, -(g % q ** (lam - i)) * q ** i, top))
+        lo[s:s + fit], rows[s:s + fit] = margins.min(axis=1), margins.argmin(axis=1)
+    lo, rows = (a[inv].reshape(len(hs), -1) for a in (lo, rows))  # numpy 1 flattens inv
+    b, w = np.unravel_index(np.argmin(lo), lo.shape)
     return ConditionReport(
         name=name, lam=lam, window=width, c0=c0, eta=eta,
-        h_count=len(h_samples), windows_checked=len(h_samples) * tops.size,
-        worst_margin=worst, violations=tuple(violations), worst_at=worst_at,
+        h_count=len(h_samples), windows_checked=lo.size, worst_margin=float(lo[b, w]),
+        worst_at=(int(h_samples[b]), int(tops[w]), int(rows[b, w])),
+        violations=tuple((int(h_samples[b]), int(tops[w]), int(rows[b, w]), float(lo[b, w]))
+                         for b, w in np.argwhere(lo < -_EXACT_TOL)[:16]),
     )
 
 
@@ -598,19 +587,19 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
         raise ValueError(f"need lam >= m0 = {m0}")
     eta = float(ctx.q) ** (-3 * m0)
 
-    def margins_of(A, tops):
-        H, W, nI = A.shape[0], tops.size, A.shape[-1]
-        P = A[:, tops - 1]
+    def margins_of(A):
+        K, nI = A.shape[0], A.shape[-1]
+        P = A[:, 0]
         for t in range(1, m0):  # every P_s times every A_delta, one product
-            F = A[:, tops - 1 - t].transpose(0, 1, 3, 2, 4).reshape(H, W, nI, -1)
-            P = (P.reshape(H, W, -1, nI) @ F).reshape(H, W, -1, nI, ctx.q, nI)
-            P = P.transpose(0, 1, 2, 4, 3, 5)
-        X = P.reshape(H, W, -1, nI * nI)
+            F = A[:, t].transpose(0, 2, 1, 3).reshape(K, nI, -1)
+            P = (P.reshape(K, -1, nI) @ F).reshape(K, -1, nI, ctx.q, nI)
+            P = P.transpose(0, 1, 3, 2, 4)
+        X = P.reshape(K, -1, nI * nI)
         # G[(i,j),(k,l)] is the window entry at row (i,k), column (j,l)
-        G = np.abs(X.swapaxes(-1, -2) @ X.conj()).reshape(H, W, nI, nI, nI, nI)
+        G = np.abs(X.swapaxes(-1, -2) @ X.conj()).reshape(K, nI, nI, nI, nI)
         G *= eta
-        return np.maximum(G[:, :, :, 0, :, 0] - eta / 2.0,
-                          (1.0 - eta) - G.sum(axis=(3, 5))).reshape(H, W, -1)
+        return np.maximum(G[:, :, 0, :, 0] - eta / 2.0,
+                          (1.0 - eta) - G.sum(axis=(2, 4))).reshape(K, -1)
 
     return _window_report(ctx, "condition1", h_samples, lam, m0, eta / 2.0, eta,
                           margins_of)
@@ -637,14 +626,14 @@ def check_condition2(ctx: FourierContext, h_samples=None, lam=None) -> Condition
     if lam < m1:
         raise ValueError(f"need lam >= m1 = {m1}")
 
-    def margins_of(A, tops):
+    def margins_of(A):
         nI = A.shape[-1]
-        X = np.zeros((A.shape[0], tops.size, nI, nI), dtype=np.complex128)
-        X[:, :, 0, 0] = 1.0
+        X = np.zeros((A.shape[0], nI, nI), dtype=np.complex128)
+        X[:, 0, 0] = 1.0
         for t in range(m1):
-            F = A[:, tops - 1 - t]
-            X = (F.swapaxes(-1, -2) @ X[:, :, None] @ F.conj()).sum(axis=2) / ctx.q ** 3
-        return (1.0 - eta) - np.abs(X).sum(axis=(2, 3))[:, :, None]
+            F = A[:, t]
+            X = (F.swapaxes(-1, -2) @ X[:, None] @ F.conj()).sum(axis=1) / ctx.q ** 3
+        return (1.0 - eta) - np.abs(X).sum(axis=(1, 2))[:, None]
 
     return _window_report(ctx, "condition2", h_samples, lam, m1, 0.0, eta, margins_of)
 
@@ -1044,21 +1033,3 @@ def prop2_decay_check(ctx: FourierContext, I_prime, h: int, d: int,
                                     scale=scale, bound=bound, ratio=ratio))
     return UniformDecayReport(eta=eta, m1=m1, rows=tuple(rows),
                               empirical_constant=worst)
-
-
-# ----------------------------------------------------------------------
-# the two-pair phase-sum inequality
-
-
-def pair_sum_bound(x1: float, x2: float, xi1: float, xi2: float):
-    """(lhs, rhs) of |e(x1)+e(x1+xi1)| + |e(x2)+e(x2+xi2)| <= rhs.
-
-    rhs = 4 - 8 sin^2(pi ||xi1 - xi2|| / 4); the gap between the two
-    phase shifts alone forces the saving.
-    """
-    def pair(x, xi):
-        return abs(np.exp(2j * np.pi * x) + np.exp(2j * np.pi * (x + xi)))
-
-    lhs = pair(x1, xi1) + pair(x2, xi2)
-    rhs = 4.0 - 8.0 * math.sin(math.pi * frac_norm(xi1 - xi2) / 4.0) ** 2
-    return lhs, rhs

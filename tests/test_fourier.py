@@ -1,6 +1,7 @@
 """Index sets, T/v, the H/G Fourier terms, transfer matrices, witnesses."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import digitseq as dq
 from digitseq import fourier as fx
 from digitseq.budget import BudgetExceededError
 from digitseq.normality import AlphaVector
-from digitseq.phases import e_frac
+from digitseq.phases import e_frac, frac_norm
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +269,13 @@ def test_transfer_path_counts(rs_ctx):
     assert np.all(three.sum(axis=1) == rs_ctx.q ** 9)
 
 
+def phi_bruteforce(ctx, I, I2, h, lam, lam_prime):
+    """avg_{d < q^lam'} G_lam^I(h,d) conj(G_lam^I2(h,d)) by direct sum."""
+    n = ctx.q ** lam_prime
+    return sum(fx.fourier_G(ctx, I, h, d, lam) * np.conj(fx.fourier_G(ctx, I2, h, d, lam))
+               for d in range(n)) / n
+
+
 def test_phi_matrix_vs_bruteforce(rng, rs_ctx, tm_ctx):
     for ctx in (rs_ctx, tm_ctx):
         Is = ctx.index_vectors()
@@ -279,7 +287,7 @@ def test_phi_matrix_vs_bruteforce(rng, rs_ctx, tm_ctx):
             psi = fx.psi_vector(ctx, h, lam, lam_p)
             ra = int(rng.integers(0, nI))
             rb = int(rng.integers(0, nI))
-            want = fx.phi_bruteforce(ctx, Is[ra], Is[rb], h, lam, lam_p)
+            want = phi_bruteforce(ctx, Is[ra], Is[rb], h, lam, lam_p)
             assert psi[ra * nI + rb] == pytest.approx(want, abs=1e-9)
 
 
@@ -305,6 +313,57 @@ def test_condition2_rudin_shapiro(rs_ctx):
     rep = fx.check_condition2(rs_ctx, h_samples=fx.stratified_samples(2 ** 11, 64))
     assert rep.ok and rep.window == 8
     assert rep.eta == pytest.approx(4 * math.sin(math.pi / 4) ** 2 * 2.0 ** -24)
+
+
+def test_condition_checks_reject_empty_h_samples(rs_ctx):
+    for check in (fx.check_condition1, fx.check_condition2):
+        with pytest.raises(ValueError, match="h_samples"):
+            check(rs_ctx, h_samples=[])
+
+
+def test_condition_checks_take_h_of_any_size():
+    # a window depends on h mod q^lam only, so shifting every h by a
+    # multiple of q^(lam+m-1) far past int64 changes nothing but the h echoed
+    for name, nums, lam, check in (("rudin-shapiro", (1, 1), 10, fx.check_condition1),
+                                   ("digit-sum:3,2", (1, 1), 8, fx.check_condition2)):
+        f = dq.parse_preset(name)
+        ctx = fx.make_context(f, AlphaVector(nums, f.m_prime), lam)
+        period = ctx.q ** (lam + ctx.m - 1)
+        hs = fx.stratified_samples(period, 64)
+        shift = 2 ** 70 * period
+        small = check(ctx, h_samples=hs)
+        big = check(ctx, h_samples=[h + shift for h in hs])
+        assert big.worst_margin == small.worst_margin
+        assert big.worst_at == (small.worst_at[0] + shift,) + small.worst_at[1:]
+        assert [v[1:] for v in big.violations] == [v[1:] for v in small.violations]
+        assert [v[0] for v in big.violations] == [v[0] + shift for v in small.violations]
+        assert big.windows_checked == small.windows_checked
+    assert small.violations  # the digit-sum case has rows to compare
+
+
+def test_digit_matrices_depend_on_the_rational_only():
+    # windows are keyed by beta = g/q^lam; the same phase written over a
+    # finer power of q must give the same digit matrices, bit for bit
+    f = dq.parse_preset("digit-sum:3,3")
+    ctx = fx.make_context(f, AlphaVector((1, 2), f.m_prime), 8)
+    nums = -np.arange(3 ** 6)
+    assert np.array_equal(fx._digit_matrices_at(ctx, nums, 3 ** 6),
+                          fx._digit_matrices_at(ctx, nums * 9, 3 ** 8))
+
+
+def test_condition1_memory_bounded_by_window_cap():
+    # RS k = 3: each window matrix is 1.7 MB, so _WINDOW_BYTES admits one
+    ctx = fx.make_context(dq.preset("rudin-shapiro"), AlphaVector((1, 1, 0), 2), 10)
+    ctx.transfer_parts()
+    hs = fx.stratified_samples(2 ** 11, 64)
+    tracemalloc.start()
+    try:
+        rep = fx.check_condition1(ctx, h_samples=hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.windows_checked == 64 * 8
+    assert peak < 8 << 20
 
 
 def test_condition2_wrong_branch(rs_half_ctx):
@@ -541,15 +600,29 @@ def test_prop2_decay_check_rejects_zero_and_integer_K(rudin_shapiro):
         fx.prop2_decay_check(ctx, (0, 0), 0, 0, [0])
 
 
+def pair_sum_bound(x1, x2, xi1, xi2):
+    """(lhs, rhs) of |e(x1)+e(x1+xi1)| + |e(x2)+e(x2+xi2)| <= rhs.
+
+    rhs = 4 - 8 sin^2(pi ||xi1 - xi2|| / 4); the gap between the two
+    phase shifts alone forces the saving.
+    """
+    def pair(x, xi):
+        return abs(np.exp(2j * np.pi * x) + np.exp(2j * np.pi * (x + xi)))
+
+    lhs = pair(x1, xi1) + pair(x2, xi2)
+    rhs = 4.0 - 8.0 * math.sin(math.pi * frac_norm(xi1 - xi2) / 4.0) ** 2
+    return lhs, rhs
+
+
 def test_pair_sum_inequality(rng):
     for _ in range(10000):
         x1, x2, xi1, xi2 = rng.uniform(-2, 2, 4)
-        lhs, rhs = fx.pair_sum_bound(x1, x2, xi1, xi2)
+        lhs, rhs = pair_sum_bound(x1, x2, xi1, xi2)
         assert lhs <= rhs + 1e-12
 
 
 def test_pair_sum_tightness():
-    lhs, rhs = fx.pair_sum_bound(0.0, 0.0, 0.25, 0.75)
+    lhs, rhs = pair_sum_bound(0.0, 0.0, 0.25, 0.75)
     assert rhs == pytest.approx(4 - 8 * math.sin(math.pi / 8) ** 2)
 
 

@@ -169,14 +169,17 @@ def test_condition2_matches_reference(case, rng):
 
 def test_condition2_violations_match_reference():
     # base-3 digit sum mod 2 at alpha = (1/2, 1/2) breaks condition 2 in
-    # several windows, so the violation lists are compared entry by entry
+    # several windows, so the violation lists are compared entry by entry;
+    # 512 h break it in more windows than the 16 a report keeps
     ctx = _context("digit-sum:3,2", (1, 1), 8)
     ref = Reference(ctx)
-    hs = fx.stratified_samples(3 ** 8, 64)
-    rep = fx.check_condition2(ctx, h_samples=hs)
-    want = ref.report(ref.condition2_margins, hs, 8, ctx.m1_pair())
-    assert len(rep.violations) == len(want[2]) >= 2 and not rep.ok
-    _assert_report_matches(rep, want)
+    for count in (64, 512):
+        hs = fx.stratified_samples(3 ** 8, count)
+        rep = fx.check_condition2(ctx, h_samples=hs)
+        want = ref.report(ref.condition2_margins, hs, 8, ctx.m1_pair())
+        assert len(rep.violations) == len(want[2]) >= 2 and not rep.ok
+        _assert_report_matches(rep, want)
+    assert len(rep.violations) == 16
 
 
 def test_psi_vector_matches_reference(case, rng):
@@ -191,6 +194,29 @@ def test_psi_vector_matches_reference(case, rng):
         for ell in range(lam - lam_p + 1, lam + 1):
             want = ref.matrix((h, ctx.q ** ell))[0] @ want
         assert np.abs(fx.psi_vector(ctx, h, lam, lam_p) - want).max() <= 1e-13
+
+
+def test_condition_windows_formed_once_per_beta(monkeypatch):
+    # every h < q^(lam+m-1) at every top: 2^8 h x 7 or 5 tops, but at most
+    # q^lam distinct beta, so at most q^lam windows of `width` factors each
+    ctx = _context("thue-morse", (1, 1), 8)
+    ref = Reference(ctx)
+    formed, digit_matrices_at = [], fx._digit_matrices_at
+
+    def counting(ctx, nums, dens):
+        A = digit_matrices_at(ctx, nums, dens)
+        formed.append(math.prod(A.shape[:-3]))
+        return A
+
+    monkeypatch.setattr(fx, "_digit_matrices_at", counting)
+    hs = list(range(ctx.q ** (ctx.lam + ctx.m - 1)))
+    for check, margins_of, width in (
+            (fx.check_condition1, ref.condition1_margins, ctx.m0()),
+            (fx.check_condition2, ref.condition2_margins, ctx.m1_pair())):
+        formed.clear()
+        rep = check(ctx, h_samples=hs)
+        assert sum(formed) <= ctx.q ** ctx.lam * width
+        _assert_report_matches(rep, ref.report(margins_of, hs, ctx.lam, width))
 
 
 def test_worst_at_locates_the_worst_margin():
