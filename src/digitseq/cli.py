@@ -33,7 +33,7 @@ class CheckFailure(Exception):
     """A verified bound or identity did not hold (exit code 1)."""
 
 
-def _load_function(args, need_normalized=False):
+def _load_function(args):
     if getattr(args, "preset", None) and getattr(args, "spec_file", None):
         raise ValueError("give either --preset or --spec-file, not both")
     if getattr(args, "preset", None):
@@ -42,7 +42,7 @@ def _load_function(args, need_normalized=False):
         f = load_function_spec(args.spec_file)
     else:
         raise ValueError("one of --preset or --spec-file is required")
-    return normalize(f) if need_normalized else f
+    return normalize(f)
 
 
 def _emit(args, text: str) -> None:
@@ -64,7 +64,7 @@ def _emit_json(args, payload: dict) -> None:
 
 
 def _cmd_generate(args) -> int:
-    f = _load_function(args, need_normalized=True)
+    f = _load_function(args)
     index_map = seqgen.parse_index_map(args.map)
     values = seqgen.stream(f, index_map, args.start, args.count,
                            threads=args.threads)
@@ -91,7 +91,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    f = _load_function(args, need_normalized=True)
+    f = _load_function(args)
     index_map = seqgen.parse_index_map(args.map)
     values = seqgen.stream(f, index_map, 0, args.N, threads=args.threads)
     # complexity needs a prefix longer than the window; N = 1 has none
@@ -120,7 +120,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_expsum(args) -> int:
-    f = _load_function(args, need_normalized=True)
+    f = _load_function(args)
     alpha = AlphaVector.parse(args.alpha, f.m_prime)
     grid = [int(tok) for tok in args.grid.split(",")]
     fit = normality.decay_exponent(f, alpha, grid)
@@ -207,7 +207,7 @@ def _cmd_fourier(args) -> int:
     if args.check == "recursion" and args.lam < 2:
         # the check draws its depths from [2, lambda]
         raise ValueError(f"--check recursion needs --lambda >= 2, got {args.lam}")
-    f = _load_function(args, need_normalized=True)
+    f = _load_function(args)
     alpha = AlphaVector.parse(args.alpha, f.m_prime)
     ctx = fourier.make_context(f, alpha, args.lam)
     rng = np.random.default_rng(args.seed)
@@ -275,7 +275,7 @@ def _cmd_toolbox(args) -> int:
         if defect > 1e-9 or worst < -1e-12:
             raise CheckFailure("Vaaler bound violated")
     elif sub == "vdc":
-        f = _load_function(args, need_normalized=True)
+        f = _load_function(args)
         alpha = AlphaVector.parse(args.alpha, f.m_prime)
         if len(alpha.numerators) != 1:
             raise ValueError(f"vdc takes one --alpha numerator, got {args.alpha!r}")
@@ -287,7 +287,7 @@ def _cmd_toolbox(args) -> int:
         if lhs > rhs + 1e-6:
             raise CheckFailure("Van der Corput inequality violated")
     elif sub == "carry":
-        f = _load_function(args, need_normalized=True)
+        f = _load_function(args)
         if args.variant == "shift":
             inputs = {"nu": args.nu, "lam": args.lam, "rho": args.rho,
                       "r": args.r}
@@ -321,7 +321,7 @@ def _cmd_toolbox(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    f = _load_function(args, need_normalized=True)
+    f = _load_function(args)
     index_map = seqgen.parse_index_map(args.map)
     payload = {"inputs": {"map": index_map.describe(), "count": args.count}}
     start = time.perf_counter()

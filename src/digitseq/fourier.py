@@ -407,7 +407,7 @@ def g_recursion_residual(ctx: FourierContext, I, h: int, d: int, j: int,
     Is = ctx.index_vectors()
     lhs = fourier_G(ctx, I, h, p * d + delta, lam)
     A = _digit_matrices_at(ctx, -h, ctx.q ** (lam - np.arange(j)))
-    row = _block_product(ctx, A, delta)[Is.index(tuple(I))]
+    row = _digit_products(ctx, A, [delta])[0, Is.index(tuple(I))]
     rhs = complex(row @ _G(ctx, Is, h, d, lam - j)) / p
     return abs(lhs - rhs)
 
@@ -445,6 +445,47 @@ def _digit_matrices_at(ctx, nums, dens) -> np.ndarray:
     nums, dens = np.asarray(nums)[..., None], np.asarray(dens)[..., None]
     eps = np.arange(ctx.q, dtype=np.int64)
     return _digit_matrices(ctx, np.exp(2j * np.pi * ((eps * (nums % dens) % dens) / dens)))
+
+
+def _digit_products(ctx, A: np.ndarray, deltas=None) -> np.ndarray:
+    """Products of one-digit matrices, one factor per digit level t < j.
+
+    With A[..., t, d] = A_d(z^(q^t)), a level multiplies every kept prefix
+    by the level's digit matrices in one stacked product.  deltas None
+    keeps every prefix and gives the q^j products A[..., 0, s_0] ...
+    A[..., j-1, s_(j-1)], s_0 slowest: (..., q^j, nI, nI).  Given deltas,
+    a level keeps the residues mod q^(t+1) that some delta continues, so
+    deltas sharing low digits share leading factors, and the result is
+    M^j_delta(z) per delta mod q^j, in their order: (..., len, nI, nI).
+    """
+    q, j, nI, batch = ctx.q, A.shape[-4], A.shape[-1], A.shape[:-4]
+    want = None if deltas is None else [int(d) % q ** j for d in deltas]
+    if want == []:
+        raise ValueError("deltas must not be empty")
+    F = A.swapaxes(-3, -2)  # F[..., t, :, d, :] = A_d(z^(q^t)): digits side by side
+    P, kept, lo, hi = None, [0], 0, q
+    for t in range(j):
+        if want is not None:
+            p = q ** t
+            res = {d % (q * p) for d in want}
+            lo, hi = min(res) // p, max(res) // p + 1
+            kept = [r + p * d for r in kept for d in range(lo, hi)]
+        if t == 0:
+            P = A[..., 0, lo:hi, :, :]  # a view: each level's digits form one range
+        else:  # every kept prefix times every digit matrix, one stacked product
+            P = P.reshape(batch + (-1, nI)) @ F[..., t, :, lo:hi, :].reshape(batch + (nI, -1))
+            P = P.reshape(batch + (-1, nI, hi - lo, nI)).swapaxes(-3, -2)
+        if want is not None and len(kept) > len(res):  # drop candidates no delta continues
+            keep = [r in res for r in kept]
+            P = P.reshape(batch + (-1, nI, nI))[..., keep, :, :]
+            kept = [r for r in kept if r in res]
+    if P is None:  # j = 0: the empty product
+        P = np.broadcast_to(np.eye(nI, dtype=np.complex128), batch + (1, nI, nI)).copy()
+    P = P.reshape(batch + (-1, nI, nI))
+    if want is None or kept == want:
+        return P
+    pos = {r: i for i, r in enumerate(kept)}
+    return P[..., [pos[d] for d in want], :, :]
 
 
 def _kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -529,8 +570,10 @@ class ConditionReport:
                 "violations": [list(v) for v in self.violations], "ok": self.ok}
 
 
-# Byte cap on the nI^2 x nI^2 window matrices formed at once (docs/DECISIONS.md,
-# 4 and 12): RS k=2 takes 101 distinct windows at a time, RS k=3 (1.7 MB) one.
+# Byte cap on the matrices formed at once (docs/DECISIONS.md, 4, 12 and 13): the
+# nI^2 x nI^2 condition windows, of which RS k=2 takes 101 distinct ones at a
+# time and RS k=3 (1.7 MB) one, and the saving sweep's products of a chunk of
+# deltas over the z grid, 14 deltas at a time for RS k=2 at a 256-point grid.
 _WINDOW_BYTES = 1 << 21
 
 
@@ -545,7 +588,7 @@ def _window_report(ctx, name, h_samples, lam, width, c0, eta, margins_of):
     first 16 violations are read in h, then ell_hi order.
     """
     if h_samples is None:
-        h_samples = stratified_samples(ctx.q ** (lam + ctx.m - 1), 1 << 10)
+        h_samples = stratified_samples(ctx.q ** lam, 1 << 10)  # windows see h mod q^lam
     if len(h_samples) == 0:
         raise ValueError("h_samples must not be empty")
     q, top = ctx.q, ctx.q ** lam
@@ -589,12 +632,7 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
 
     def margins_of(A):
         K, nI = A.shape[0], A.shape[-1]
-        P = A[:, 0]
-        for t in range(1, m0):  # every P_s times every A_delta, one product
-            F = A[:, t].transpose(0, 2, 1, 3).reshape(K, nI, -1)
-            P = (P.reshape(K, -1, nI) @ F).reshape(K, -1, nI, ctx.q, nI)
-            P = P.transpose(0, 1, 3, 2, 4)
-        X = P.reshape(K, -1, nI * nI)
+        X = _digit_products(ctx, A).reshape(K, -1, nI * nI)
         # G[(i,j),(k,l)] is the window entry at row (i,k), column (j,l)
         G = np.abs(X.swapaxes(-1, -2) @ X.conj()).reshape(K, nI, nI, nI, nI)
         G *= eta
@@ -715,19 +753,6 @@ def prop1_decay_profile(ctx: FourierContext, I_prime, h: int,
 # single-index matrices and the non-integer-K saving
 
 
-def _block_product(ctx, A: np.ndarray, delta: int) -> np.ndarray:
-    """prod_t A[..., t, delta_t] over the base-q digits delta_t of delta.
-
-    With A[..., t, d] = A_d(z^(q^t)) this is M^j_delta(z): a j-digit step
-    is j one-digit steps, the t-th seeing the digits eps_t and delta_t.
-    """
-    out = np.zeros(A.shape[:-4] + A.shape[-2:], dtype=np.complex128)
-    out += np.eye(A.shape[-1])
-    for t in range(A.shape[-4]):
-        out = out @ A[..., t, (delta // ctx.q ** t) % ctx.q, :, :]
-    return out
-
-
 def small_matrix_M(ctx: FourierContext, j: int, delta: int, z: complex) -> TransferMatrix:
     """M^j_delta(z) over single offset vectors.
 
@@ -740,16 +765,30 @@ def small_matrix_M(ctx: FourierContext, j: int, delta: int, z: complex) -> Trans
     budget_check("sum", ctx.q ** j, "single-index matrix")
     zt = np.array([complex(z) ** ctx.q ** t for t in range(j)], dtype=np.complex128)
     A = _digit_matrices(ctx, zt[:, None] ** np.arange(ctx.q))
-    return TransferMatrix(entries=_block_product(ctx, A, delta), index=ctx.index_vectors())
+    return TransferMatrix(entries=_digit_products(ctx, A, [delta])[0],
+                          index=ctx.index_vectors())
 
 
-def small_matrix_norms_on_root_grid(ctx: FourierContext, j: int, delta: int,
-                                    grid: int = 256) -> np.ndarray:
-    """inf-norm of M^j_delta(z) at every z = e(t/grid), t < grid."""
+def _root_grid_factors(ctx, j: int, grid: int) -> np.ndarray:
+    """A[s, t, d] = A_d(z^(q^t)) at z = e(s/grid), s < grid, t < j."""
+    if grid < 1:
+        raise ValueError(f"grid must be >= 1, got {grid}")
     budget_check("sum", ctx.q ** j, "single-index matrix")
     s = np.arange(grid, dtype=np.int64)[:, None]
-    A = _digit_matrices_at(ctx, s * ctx.q ** np.arange(j, dtype=np.int64) % grid, grid)
-    return np.abs(_block_product(ctx, A, delta)).sum(axis=-1).max(axis=-1)
+    return _digit_matrices_at(ctx, s * ctx.q ** np.arange(j, dtype=np.int64) % grid, grid)
+
+
+def small_matrix_norms_on_root_grid(ctx: FourierContext, j: int, delta,
+                                    grid: int = 256) -> np.ndarray:
+    """inf-norm of M^j_delta(z) at every z = e(t/grid), t < grid.
+
+    delta is one int, giving shape (grid,), or a non-empty sequence of
+    them, giving (grid, len(delta)).
+    """
+    one = np.ndim(delta) == 0
+    P = _digit_products(ctx, _root_grid_factors(ctx, j, grid), [delta] if one else delta)
+    norms = np.abs(P).sum(axis=-1).max(axis=-1)
+    return norms[:, 0] if one else norms
 
 
 @dataclass(frozen=True)
@@ -795,17 +834,18 @@ def prop2_saving_sweep(ctx: FourierContext, deltas=None,
     eta_p = ctx.eta_single()
     p = ctx.q ** m1
     bound = float(p) - eta_p
-    if deltas is None:
-        deltas = range(p)
-    worst = 0.0
-    count = 0
-    for delta in deltas:
-        worst = max(worst, float(small_matrix_norms_on_root_grid(
-            ctx, m1, int(delta), grid).max()))
-        count += 1
+    # low digits first, so that a chunk's deltas share their leading factors
+    deltas = sorted(range(p) if deltas is None else deltas,
+                    key=lambda d: [d // ctx.q ** t % ctx.q for t in range(m1)])
+    if not deltas:
+        raise ValueError("deltas must not be empty")
+    A = _root_grid_factors(ctx, m1, grid)
+    fit = max(1, _WINDOW_BYTES // (16 * A[:, 0, 0].size))  # deltas whose products fit
+    worst = max(float(np.abs(_digit_products(ctx, A, deltas[s:s + fit])).sum(axis=-1).max())
+                for s in range(0, len(deltas), fit))
     slack = math.pi / grid * (p * (p - 1) // 2)
     return SavingSweepReport(m1=m1, eta_prime=eta_p, bound=bound,
-                             deltas_checked=count, grid=grid, worst_norm=worst,
+                             deltas_checked=len(deltas), grid=grid, worst_norm=worst,
                              certified_upper=min(worst + slack, float(p)))
 
 

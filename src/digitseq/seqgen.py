@@ -67,19 +67,13 @@ class IndexMap:
         if self.kind == "affine" and (self.a < 1 or self.b < 0):
             raise ValueError("affine map needs a >= 1 and b >= 0")
 
-    def __call__(self, t: int) -> int:
+    def __call__(self, t):
+        """The image of t, an int or an int64 array of them."""
         if self.kind == "identity":
             return t
         if self.kind == "affine":
             return self.a * t + self.b
         return t * t
-
-    def apply_array(self, ts: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return ts
-        if self.kind == "affine":
-            return self.a * ts + self.b
-        return ts * ts
 
     def describe(self) -> str:
         if self.kind == "affine":
@@ -238,7 +232,7 @@ def _emit_chunk(f: DigitalFunction, index_map: IndexMap, start: int,
     top = index_map(start + count - 1) * f.q ** (f.m - 1)
     if top < _VECTOR_ARG_LIMIT:
         ts = np.arange(start, start + count, dtype=np.int64)
-        return eval_b_many(f, index_map.apply_array(ts)) % f.m_prime
+        return eval_b_many(f, index_map(ts)) % f.m_prime
     return _emit_wide(*wide, index_map, start, count) % f.m_prime
 
 

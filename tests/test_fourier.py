@@ -321,6 +321,25 @@ def test_condition_checks_reject_empty_h_samples(rs_ctx):
             check(rs_ctx, h_samples=[])
 
 
+def test_default_h_samples_distinct_mod_q_lam(monkeypatch):
+    # a window depends on h mod q^lam only, so no two default h may share it;
+    # for RS (m = 2) a spread over q^(lam+m-1) repeats every residue twice
+    drawn, spread = [], fx.stratified_samples
+
+    def recording(total, cap):
+        drawn.append(spread(total, cap))
+        return drawn[-1]
+
+    monkeypatch.setattr(fx, "stratified_samples", recording)
+    for lam in (8, 12):
+        ctx = fx.make_context(dq.preset("rudin-shapiro"), AlphaVector((1, 1), 2), lam)
+        for check in (fx.check_condition1, fx.check_condition2):
+            rep = check(ctx)
+            hs = drawn.pop()
+            assert rep.h_count == len(hs) == min(2 ** lam, 1 << 10)
+            assert len({h % 2 ** lam for h in hs}) == len(hs)
+
+
 def test_condition_checks_take_h_of_any_size():
     # a window depends on h mod q^lam only, so shifting every h by a
     # multiple of q^(lam+m-1) far past int64 changes nothing but the h echoed
@@ -502,6 +521,38 @@ def test_saving_sweep_digit_sum_chain_bound():
 def test_saving_sweep_wrong_branch(rs_ctx):
     with pytest.raises(ValueError):
         fx.prop2_saving_sweep(rs_ctx, deltas=[0])
+
+
+def test_empty_delta_lists_raise(rs_half_ctx):
+    # nothing checked must not read as a passed check with worst norm 0
+    for empty in ([], (), iter([])):
+        with pytest.raises(ValueError, match="deltas must not be empty"):
+            fx.prop2_saving_sweep(rs_half_ctx, deltas=empty)
+    with pytest.raises(ValueError, match="deltas must not be empty"):
+        fx.small_matrix_norms_on_root_grid(rs_half_ctx, 3, [], 16)
+
+
+def test_root_grid_rejects_bad_grid(rs_half_ctx):
+    for grid in (0, -3):
+        with pytest.raises(ValueError, match=f"grid must be >= 1, got {grid}"):
+            fx.prop2_saving_sweep(rs_half_ctx, deltas=[1], grid=grid)
+        with pytest.raises(ValueError, match=f"grid must be >= 1, got {grid}"):
+            fx.small_matrix_norms_on_root_grid(rs_half_ctx, 3, 5, grid)
+
+
+def test_saving_sweep_memory_bounded_by_window_cap():
+    # every delta < 2^12 at a 256-point grid: all products at once would take
+    # 4096 x 256 x 6^2 complex (604 MB); chunks stay near _WINDOW_BYTES
+    ctx = fx.make_context(dq.preset("rudin-shapiro"), AlphaVector((1, 0), 2), 12)
+    ctx.transfer_parts()
+    tracemalloc.start()
+    try:
+        rep = fx.prop2_saving_sweep(ctx, grid=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.deltas_checked == 2 ** 12
+    assert peak < 12 << 20
 
 
 # ----------------------------------------------------------------------

@@ -262,6 +262,85 @@ def test_single_index_matrices_match_reference(case, rng):
             assert norms[t] == pytest.approx(np.abs(block).sum(axis=1).max(), abs=1e-12)
 
 
+def reference_block_product(ctx, A, delta):
+    """prod_t A[..., t, delta_t] over the base-q digits of delta, one factor at a time."""
+    out = np.zeros(A.shape[:-4] + A.shape[-2:], dtype=np.complex128)
+    out += np.eye(A.shape[-1])
+    for t in range(A.shape[-4]):
+        out = out @ A[..., t, (delta // ctx.q ** t) % ctx.q, :, :]
+    return out
+
+
+def _product_tol(ctx, j):
+    """Rounding bound for a product of j one-digit matrices, entries <= q^j."""
+    return 2 * j * len(ctx.index_vectors()) * np.finfo(float).eps * ctx.q ** j
+
+
+def _random_factors(ctx, batch, j, rng):
+    den = ctx.q ** ctx.lam
+    return fx._digit_matrices_at(ctx, rng.integers(0, den, batch + (j,)), den)
+
+
+@pytest.mark.parametrize("batch", [(), (16,), (3, 2)], ids=str)
+def test_digit_products_match_block_product(case, batch, rng):
+    # deltas unsorted, repeated, negative and >= q^j.  One delta at a time the
+    # kernel takes the reference's GEMMs, so the two agree bit for bit; a list
+    # stacks shared prefixes into larger GEMMs, which may round differently
+    ctx, _, _ = case
+    nI = len(ctx.index_vectors())
+    for j in sorted({0, 1, 3, ctx.lam}):
+        A = _random_factors(ctx, batch, j, rng)
+        deltas = [int(d) for d in rng.integers(-ctx.q ** j, 3 * ctx.q ** j, 12)]
+        deltas += deltas[:3]
+        want = np.stack([reference_block_product(ctx, A, d) for d in deltas], axis=-3)
+        for i, d in enumerate(deltas):
+            assert np.array_equal(fx._digit_products(ctx, A, [d])[..., 0, :, :],
+                                  want[..., i, :, :])
+        got = fx._digit_products(ctx, A, deltas)
+        assert got.shape == batch + (len(deltas), nI, nI)
+        assert np.abs(got - want).max() <= _product_tol(ctx, j)
+
+
+def test_digit_products_keep_tree_order(case, rng):
+    # deltas None gives every product with the first digit slowest, the order
+    # condition 1 sums them in; the list of all deltas in that order prunes
+    # nothing, so it takes the same GEMMs and agrees bit for bit
+    ctx, _, _ = case
+    q = ctx.q
+    for j in (1, 2, 4):
+        A = _random_factors(ctx, (4,), j, rng)
+        tree = [sum(s // q ** (j - 1 - t) % q * q ** t for t in range(j)) for s in range(q ** j)]
+        got = fx._digit_products(ctx, A)
+        assert got.shape == (4, q ** j) + A.shape[-2:]
+        assert np.array_equal(got, fx._digit_products(ctx, A, tree))
+        want = np.stack([reference_block_product(ctx, A, d) for d in tree], axis=-3)
+        assert np.abs(got - want).max() <= _product_tol(ctx, j)
+
+
+@pytest.mark.parametrize("name,nums", [("rudin-shapiro", (1, 0)), ("digit-sum:3,3", (1,))],
+                         ids=str)
+def test_saving_sweep_matches_per_delta_norms(name, nums, rng, monkeypatch):
+    # random deltas, neither stratified nor sorted, some repeated or past q^m1,
+    # in one chunk and in chunks of two
+    ctx = _context(name, nums, 8)
+    p, grid = ctx.q ** ctx.m1_single(), 64
+    deltas = [int(d) for d in rng.integers(-p, 2 * p, 40)] + [5, 5]
+    per = np.stack([fx.small_matrix_norms_on_root_grid(ctx, ctx.m1_single(), d, grid)
+                    for d in deltas], axis=1)
+    together = fx.small_matrix_norms_on_root_grid(ctx, ctx.m1_single(), deltas, grid)
+    assert together.shape == (grid, len(deltas))
+    assert np.allclose(together, per, rtol=1e-13, atol=0)
+    worst = per.max(axis=0)
+    for cap in (fx._WINDOW_BYTES, 2 * 16 * grid * len(ctx.index_vectors()) ** 2):
+        monkeypatch.setattr(fx, "_WINDOW_BYTES", cap)
+        rep = fx.prop2_saving_sweep(ctx, deltas=deltas, grid=grid)
+        assert rep.deltas_checked == len(deltas)
+        assert rep.worst_norm == pytest.approx(worst.max(), rel=1e-13)
+        for i in range(len(deltas) - 2):  # every delta counts, wherever it sorts
+            rep = fx.prop2_saving_sweep(ctx, deltas=deltas[i:i + 3], grid=grid)
+            assert rep.worst_norm == pytest.approx(worst[i:i + 3].max(), rel=1e-13)
+
+
 def reference_g_rhs(ctx, I, h, d, j, delta, lam):
     """q^-j sum_eps e(-h eps/q^lam) v^j(I,eps,delta) G_{lam-j}^{T(I)}(h, d), per eps."""
     total = 0j
