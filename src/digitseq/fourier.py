@@ -44,6 +44,7 @@ so the uniform saving for m = 1 is the smaller, chain constant.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -137,6 +138,9 @@ class FourierContext:
         self.k = alpha.k
         self.m_prime = f.m_prime
         self.roots = roots_of_unity(f.m_prime)
+        # e(p/m') for every unreduced phase p = sum_l num_l b_l, b_l < m'
+        self.phase_roots = self.roots[np.arange(
+            (f.m_prime - 1) * sum(alpha.numerators) + 1) % f.m_prime]
         self._btab = {}
         self._structure = None
 
@@ -283,23 +287,31 @@ def weight_v(ctx: FourierContext, I, eps: int, delta: int, j: int) -> complex:
 # H and G
 
 
-def _phases(ctx, I, d: int, lam: int, stride: int, n: int) -> np.ndarray:
-    """sum_l num_l b_lam(stride (u + l d) + i_l) mod m' for u < n.
+def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
+    """sum_l num_l b_lam(stride (u + l d) + i_l) for u < n = q^(lam+m-1)/stride.
 
-    I is one offset vector or a stack (..., k) of them; the result has
-    shape (..., n).  H takes stride 1 and n = q^(lam+m-1), G stride
-    q^(m-1) and n = q^lam.
+    I is a stack (rows, k) of offset vectors; the result has shape
+    (rows, n) and is not reduced mod m' (index `ctx.phase_roots` with it).
+    H takes stride 1 and n = q^(lam+m-1), G stride q^(m-1) and n = q^lam.
+    With c = (stride l d + i_l) mod q^(lam+m-1) = r + stride o, r < stride,
+    the row of band values at u < n is tab[r::stride] rotated left by o,
+    added as two slices.
     """
     big = ctx.q ** (lam + ctx.m - 1)
+    n = big // stride
     d %= big  # both phases are big-periodic in stride * d
     tab = ctx.band_table(lam)
-    I = np.asarray(I, dtype=np.int64)[..., None]
-    u = np.arange(n, dtype=np.int64)
-    ph = np.zeros(I.shape[:-2] + (n,), dtype=np.int64)
+    I = np.asarray(I, dtype=np.int64)
+    ph = np.zeros((len(I), n), dtype=np.int64)
     for ell, num in enumerate(ctx.alpha.numerators):
         if num:
-            ph += num * tab[(stride * (u + ell * d) + I[..., ell, :]) % big]
-    return ph % ctx.m_prime
+            band = num * tab
+            for row, c in zip(ph, ((stride * ell * d + I[:, ell]) % big).tolist()):
+                o, r = divmod(c, stride)
+                head, tail = row[:n - o], row[n - o:]
+                np.add(head, band[c::stride], out=head)  # band[r::stride][o:]
+                np.add(tail, band[r:c:stride], out=tail)  # band[r::stride][:o]
+    return ph
 
 
 def _check_depth(ctx, lam):
@@ -314,24 +326,72 @@ def _check_depth(ctx, lam):
 _STACK_TERMS = 1 << 20
 
 
-def _fourier_sum(ctx, I, h: int, d: int, lam: int, stride: int, n: int) -> np.ndarray:
+class _KernelTables:
+    """e(-r/n) for r < n, one table per recent n, shared by every context.
+
+    Each table is the elementwise np.exp(-2j pi r / n) of the r themselves,
+    so reading it at r = h u mod n gives the bits np.exp gives on that r.
+    The least recently used tables are dropped once they hold more than
+    `terms` entries in all (16 bytes each); a longer table is returned
+    but not kept.
+    """
+
+    def __init__(self, terms: int):
+        self.terms, self.held, self.tables = terms, 0, {}
+        self.lock = threading.Lock()
+
+    def __call__(self, n: int) -> np.ndarray:
+        with self.lock:
+            tab = self.tables.pop(n, None)
+            if tab is None:
+                tab = np.exp(-2j * np.pi * np.arange(n, dtype=np.int64) / n)
+                if n > self.terms:  # kept, it would push out every other table
+                    return tab
+                self.held += n
+            self.tables[n] = tab  # dicts keep insertion order: most recent last
+            while self.held > self.terms:
+                self.held -= len(self.tables.pop(next(iter(self.tables))))
+        return tab
+
+
+# Every table the default sum budget admits fits (docs/DECISIONS.md, 14).
+_kernel_table = _KernelTables(1 << 22)
+
+
+def _kernel(h: int, n: int) -> np.ndarray:
+    """e(-h u/n) for u < n, read from the cached table at h u mod n.
+
+    With u = u1 + n1 u2 and n1 = ceil(sqrt n), h u mod n is the sum of
+    the short progressions h u1 mod n and (h n1 mod n) u2 mod n, less n
+    where it reaches n.  h is reduced mod n first, so every integer
+    product stays below n (sqrt n + 1) < 2^40 up to the hard sum limit
+    n = 2^26.
+    """
+    h %= n
+    n1 = math.isqrt(n - 1) + 1
+    idx = (h * n1 % n * np.arange(-(-n // n1), dtype=np.int64) % n)[:, None] \
+        + (h * np.arange(n1, dtype=np.int64) % n - n)
+    return _kernel_table(n)[idx.reshape(-1)[:n]]  # an index in [-n, 0) reads entry + n
+
+
+def _fourier_sum(ctx, I, h: int, d: int, lam: int, stride: int) -> np.ndarray:
     """n^-1 sum_{u<n} e(phase_u/m' - h u/n) over the `_phases` of each I.
 
     I is one offset vector or a stack (..., k), taken in slices of about
-    _STACK_TERMS terms; h u/n is reduced exactly.
+    _STACK_TERMS terms; n = q^(lam+m-1)/stride.
     """
-    u = np.arange(n, dtype=np.int64)
-    kernel = np.exp(-2j * np.pi * (((h % n) * u) % n) / n)
+    n = ctx.q ** (lam + ctx.m - 1) // stride
+    kernel = _kernel(h, n)
     I = np.asarray(I, dtype=np.int64)
     flat, rows = I.reshape(-1, I.shape[-1]), max(1, _STACK_TERMS // n)
-    sums = [(ctx.roots[_phases(ctx, flat[s:s + rows], d, lam, stride, n)] * kernel)
+    sums = [(ctx.phase_roots[_phases(ctx, flat[s:s + rows], d, lam, stride)] * kernel)
             .sum(axis=-1) for s in range(0, len(flat), rows)]
     return np.concatenate(sums).reshape(I.shape[:-1]) / n
 
 
 def _G(ctx, I, h: int, d: int, lam: int) -> np.ndarray:
     """G_lam^I(h, d) for one offset vector or each of a stack (..., k)."""
-    return _fourier_sum(ctx, I, h, d, lam, ctx.q ** (ctx.m - 1), ctx.q ** lam)
+    return _fourier_sum(ctx, I, h, d, lam, ctx.q ** (ctx.m - 1))
 
 
 def fourier_H(ctx: FourierContext, I_prime, h: int, d: int, lam=None) -> complex:
@@ -339,8 +399,7 @@ def fourier_H(ctx: FourierContext, I_prime, h: int, d: int, lam=None) -> complex
     lam = _check_depth(ctx, lam)
     if not is_start_index_vector(I_prime):
         raise ValueError(f"{I_prime} is not a start-normalized offset vector")
-    period = ctx.q ** (lam + ctx.m - 1)
-    return complex(_fourier_sum(ctx, I_prime, h, d, lam, 1, period))
+    return complex(_fourier_sum(ctx, I_prime, h, d, lam, 1))
 
 
 def fourier_G(ctx: FourierContext, I, h: int, d: int, lam=None) -> complex:
@@ -356,8 +415,8 @@ def fourier_G_all_h(ctx: FourierContext, I, d: int, lam=None) -> np.ndarray:
     lam = _check_depth(ctx, lam)
     if not is_index_vector(I, ctx.q, ctx.m):
         raise ValueError(f"{I} is not a valid offset vector")
-    n = ctx.q ** lam
-    return np.fft.fft(ctx.roots[_phases(ctx, I, d, lam, ctx.q ** (ctx.m - 1), n)]) / n
+    ph = _phases(ctx, [I], d, lam, ctx.q ** (ctx.m - 1))[0]
+    return np.fft.fft(ctx.phase_roots[ph]) / ctx.q ** lam
 
 
 def parseval_sum(ctx: FourierContext, I, d: int, lam=None) -> float:
@@ -800,6 +859,8 @@ class SavingSweepReport:
     bound on that supremum for the same deltas: each row sum is
     2 pi sum_{eps < q^m1} eps - Lipschitz in t, and every t lies within
     1/(2 grid) of a grid point; it is capped at the trivial q^m1.
+    deltas_checked counts the distinct deltas mod q^m1, since M^m1_delta
+    depends on delta mod q^m1 only.
     """
 
     m1: int
@@ -834,8 +895,9 @@ def prop2_saving_sweep(ctx: FourierContext, deltas=None,
     eta_p = ctx.eta_single()
     p = ctx.q ** m1
     bound = float(p) - eta_p
-    # low digits first, so that a chunk's deltas share their leading factors
-    deltas = sorted(range(p) if deltas is None else deltas,
+    # each distinct M^m1_delta once, low digits first, so that a chunk's
+    # deltas share their leading factors
+    deltas = sorted(range(p) if deltas is None else {int(d) % p for d in deltas},
                     key=lambda d: [d // ctx.q ** t % ctx.q for t in range(m1)])
     if not deltas:
         raise ValueError("deltas must not be empty")

@@ -247,6 +247,99 @@ def test_H_rejects_non_start_vector(rs_ctx):
         fx.fourier_H(rs_ctx, (1, 2), 0, 0, 4)
 
 
+def reference_phases(ctx, I, d, lam, stride, n):
+    """sum_l num_l b_lam(stride (u + l d) + i_l) mod m' by %-indexed gathers."""
+    big = ctx.q ** (lam + ctx.m - 1)
+    d %= big
+    tab = ctx.band_table(lam)
+    I = np.asarray(I, dtype=np.int64)[..., None]
+    u = np.arange(n, dtype=np.int64)
+    ph = np.zeros(I.shape[:-2] + (n,), dtype=np.int64)
+    for ell, num in enumerate(ctx.alpha.numerators):
+        if num:
+            ph += num * tab[(stride * (u + ell * d) + I[..., ell, :]) % big]
+    return ph % ctx.m_prime
+
+
+def reference_fourier_sum(ctx, I, h, d, lam, stride, n):
+    """The H/G sum with an np.exp kernel per term, in slices of _STACK_TERMS."""
+    u = np.arange(n, dtype=np.int64)
+    kernel = np.exp(-2j * np.pi * (((h % n) * u) % n) / n)
+    I = np.asarray(I, dtype=np.int64)
+    flat, rows = I.reshape(-1, I.shape[-1]), max(1, fx._STACK_TERMS // n)
+    sums = [(ctx.roots[reference_phases(ctx, flat[s:s + rows], d, lam, stride, n)] * kernel)
+            .sum(axis=-1) for s in range(0, len(flat), rows)]
+    return np.concatenate(sums).reshape(I.shape[:-1]) / n
+
+
+def _pair_function(q):
+    """Count of "11" blocks in base q, mod 2: like Rudin-Shapiro, m = 2."""
+    F = [0] * q ** 2
+    F[q + 1] = 1
+    return dq.make_digital_function(q, 2, F, 2)
+
+
+_SUM_CASES = {(2, 1): dq.preset("thue-morse"), (2, 2): dq.preset("rudin-shapiro"),
+              (3, 1): dq.preset("digit-sum", q=3, m_prime=3), (3, 2): _pair_function(3),
+              (10, 1): dq.preset("digit-sum", q=10, m_prime=3), (10, 2): _pair_function(10)}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("qm", list(_SUM_CASES), ids=str)
+def test_fourier_sums_match_reference_bit_for_bit(qm, k, rng):
+    # the cached kernel and rotated band slices give the same bits as an
+    # np.exp kernel and %-indexed gathers, for h < 0, h >= n, h > 2^63 and
+    # d at and past the period q^(lam+m-1)
+    f = _SUM_CASES[qm]
+    nums = [int(v) for v in rng.integers(1, f.m_prime, k)]
+    nums[-1] *= k != 2  # one zero coefficient among the k = 2 cases
+    ctx = fx.make_context(f, AlphaVector(nums, f.m_prime), 4)
+    q, m, shift = f.q, f.m, f.q ** (f.m - 1)
+    Is, starts = ctx.index_vectors(), ctx.start_vectors()
+    for lam in range(4 if q < 10 else 2):
+        big, n = q ** (lam + m - 1), q ** lam
+        for h in (0, 1, -3, big + 5, 2 ** 64 + 3, -(2 ** 70) - 1,
+                  int(rng.integers(0, 2 ** 40))):
+            for d in (0, 5, 3 * big + 2, 2 ** 66 + 1, -7):
+                Ip, I = starts[-1], Is[int(rng.integers(0, len(Is)))]
+                assert fx.fourier_H(ctx, Ip, h, d, lam) == complex(
+                    reference_fourier_sum(ctx, Ip, h, d, lam, 1, big))
+                assert fx.fourier_G(ctx, I, h, d, lam) == complex(
+                    reference_fourier_sum(ctx, I, h, d, lam, shift, n))
+                stack = [Is[:64], Is[::-1][:64]]
+                assert np.array_equal(fx._G(ctx, stack, h, d, lam),
+                                      reference_fourier_sum(ctx, stack, h, d, lam, shift, n))
+        for d in (0, 5, 2 ** 66 + 1):
+            want = np.fft.fft(ctx.roots[reference_phases(ctx, Is[-1], d, lam, shift, n)]) / n
+            assert np.array_equal(fx.fourier_G_all_h(ctx, Is[-1], d, lam), want)
+    held = fx._kernel_table
+    assert held.held == sum(map(len, held.tables.values())) <= held.terms
+
+
+def test_fourier_sum_stack_past_stack_terms_bit_for_bit():
+    # 1,100 rows of 2^10 terms cross _STACK_TERMS = 2^20, so the stack is
+    # summed in two slices
+    ctx = fx.make_context(dq.preset("thue-morse"), AlphaVector((1, 1), 2), 10)
+    stack = np.array(ctx.index_vectors() * 550).reshape(2, 550, 2)
+    assert stack[..., 0].size * 2 ** 10 > fx._STACK_TERMS
+    for h, d in ((3, 7), (2 ** 64 + 9, -(2 ** 65))):
+        assert np.array_equal(fx._G(ctx, stack, h, d, 10),
+                              reference_fourier_sum(ctx, stack, h, d, 10, 1, 2 ** 10))
+
+
+def test_kernel_tables_stay_within_their_bound():
+    tables = fx._KernelTables(1000)
+    for n in list(range(1, 200)) + [600, 3, 300, 1500]:
+        tab = tables(n)
+        assert np.array_equal(tab, np.exp(-2j * np.pi * np.arange(n) / n))
+        assert tables.held == sum(map(len, tables.tables.values())) <= 1000
+    # a table past the bound is not kept; the least recently used go first
+    assert list(tables.tables) == [600, 3, 300]
+    assert tables(600) is tables.tables[600]
+    tables(200)
+    assert list(tables.tables) == [600, 200] and tables.held == 800
+
+
 # ----------------------------------------------------------------------
 # transfer matrices
 
@@ -516,6 +609,13 @@ def test_saving_sweep_digit_sum_chain_bound():
     assert rep.bound == pytest.approx(1 + math.sqrt(7), abs=1e-12)
     assert rep.ok and rep.certified_upper <= rep.bound
     assert rep.worst_norm > 4 - 8 * math.sin(math.pi / 12) ** 2
+
+
+def test_saving_sweep_counts_distinct_deltas(rs_half_ctx):
+    # 5, 5 and 4101 are one delta mod 2^12: one M^m1_delta is checked
+    rep = fx.prop2_saving_sweep(rs_half_ctx, deltas=[5, 5, 4101], grid=16)
+    assert rep.deltas_checked == 1
+    assert rep == fx.prop2_saving_sweep(rs_half_ctx, deltas=[5], grid=16)
 
 
 def test_saving_sweep_wrong_branch(rs_ctx):
