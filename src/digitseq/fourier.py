@@ -138,9 +138,12 @@ class FourierContext:
         self.k = alpha.k
         self.m_prime = f.m_prime
         self.roots = roots_of_unity(f.m_prime)
-        # e(p/m') for every unreduced phase p = sum_l num_l b_l, b_l < m'
+        # num b mod m' for b < m', per coefficient num > 1 (num 1 is b itself)
+        self.times = {num: num * np.arange(f.m_prime, dtype=np.int64) % f.m_prime
+                      for num in set(alpha.numerators) - {0, 1}}
+        # e(p/m') for every phase p < k m' that `_phases` sums
         self.phase_roots = self.roots[np.arange(
-            (f.m_prime - 1) * sum(alpha.numerators) + 1) % f.m_prime]
+            self.k * (f.m_prime - 1) + 1) % f.m_prime]
         self._btab = {}
         self._structure = None
 
@@ -287,15 +290,41 @@ def weight_v(ctx: FourierContext, I, eps: int, delta: int, j: int) -> complex:
 # H and G
 
 
-def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
-    """sum_l num_l b_lam(stride (u + l d) + i_l) for u < n = q^(lam+m-1)/stride.
+# Row length from which `_phases` adds every row alone, in place: the two
+# extra passes of a fancy-indexed add over rows sharing a c then cost more
+# than a Python step per row (docs/DECISIONS.md, 14).
+_LONG_ROW = 1 << 10
 
-    I is a stack (rows, k) of offset vectors; the result has shape
-    (rows, n) and is not reduced mod m' (index `ctx.phase_roots` with it).
-    H takes stride 1 and n = q^(lam+m-1), G stride q^(m-1) and n = q^lam.
-    With c = (stride l d + i_l) mod q^(lam+m-1) = r + stride o, r < stride,
-    the row of band values at u < n is tab[r::stride] rotated left by o,
-    added as two slices.
+
+def _rows_by_value(col: np.ndarray) -> list:
+    """(v, rows) for each distinct v of the 1-D array col.
+
+    rows are the positions holding v: an int where v is held once, so
+    that ph[rows] is a view added in place, else a list or index array.
+    """
+    if len(col) <= 32:  # a dict costs less than a sort on a short stack
+        at = {}
+        for row, v in enumerate(col.tolist()):
+            at.setdefault(v, []).append(row)
+        return [(v, rows[0] if len(rows) == 1 else rows) for v, rows in at.items()]
+    order = np.argsort(col)
+    col = col[order]
+    cut = np.flatnonzero(np.diff(col, prepend=-1)).tolist()
+    return [(v, order[a] if b - a == 1 else order[a:b])
+            for a, b, v in zip(cut, cut[1:] + [len(col)], col[cut].tolist())]
+
+
+def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
+    """sum_l (num_l b_lam(stride (u + l d) + i_l) mod m') for u < n.
+
+    n = q^(lam+m-1)/stride.  I is a stack (rows, k) of offset vectors; the
+    result has shape (rows, n) with entries below k m' (index
+    `ctx.phase_roots` with it).  H takes stride 1 and n = q^(lam+m-1), G
+    stride q^(m-1) and n = q^lam.  With c = (stride l d + i_l) mod
+    q^(lam+m-1) = r + stride o, r < stride, the row of band values at
+    u < n is band[r::stride] rotated left by o: two slices.  Rows shorter
+    than _LONG_ROW take them once per distinct c, into every row with
+    that c; longer rows take them one row at a time, in place.
     """
     big = ctx.q ** (lam + ctx.m - 1)
     n = big // stride
@@ -303,14 +332,17 @@ def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
     tab = ctx.band_table(lam)
     I = np.asarray(I, dtype=np.int64)
     ph = np.zeros((len(I), n), dtype=np.int64)
+    C = (stride * d * np.arange(ctx.k) + I) % big  # c per row and coefficient
     for ell, num in enumerate(ctx.alpha.numerators):
         if num:
-            band = num * tab
-            for row, c in zip(ph, ((stride * ell * d + I[:, ell]) % big).tolist()):
+            band = tab if num == 1 else ctx.times[num][tab]
+            col = C[:, ell]
+            for c, rows in (_rows_by_value(col) if n < _LONG_ROW
+                            else zip(col.tolist(), range(len(col)))):
                 o, r = divmod(c, stride)
-                head, tail = row[:n - o], row[n - o:]
-                np.add(head, band[c::stride], out=head)  # band[r::stride][o:]
-                np.add(tail, band[r:c:stride], out=tail)  # band[r::stride][:o]
+                ph[rows, :n - o] += band[c::stride]  # band[r::stride][o:]
+                if o:
+                    ph[rows, n - o:] += band[r:c:stride]  # band[r::stride][:o]
     return ph
 
 

@@ -327,6 +327,24 @@ def test_fourier_sum_stack_past_stack_terms_bit_for_bit():
                               reference_fourier_sum(ctx, stack, h, d, 10, 1, 2 ** 10))
 
 
+def test_phase_tables_grow_linearly_in_m_prime():
+    # each coefficient's band is reduced mod m' first, so a phase sums k
+    # terms below m' and the wrapped roots table has k (m' - 1) + 1 entries
+    mp = 10 ** 5
+    ctx = fx.make_context(dq.preset("digit-sum", q=3, m_prime=mp),
+                          AlphaVector((mp // 2, 1, mp - 1), mp), 6)
+    assert len(ctx.phase_roots) == 3 * (mp - 1) + 1
+    assert sorted(ctx.times) == [mp // 2, mp - 1]
+    assert all(len(t) == mp for t in ctx.times.values())
+    Is = ctx.index_vectors()
+    for lam, h, d in ((6, 12345, 77), (3, -5, 2 ** 64 + 1)):
+        assert fx.fourier_H(ctx, Is[0], h, d, lam) == complex(
+            reference_fourier_sum(ctx, Is[0], h, d, lam, 1, 3 ** lam))
+        ph = fx._phases(ctx, Is, d, lam, 1)
+        assert ph.max() < len(ctx.phase_roots)
+        assert np.array_equal(ph % mp, reference_phases(ctx, Is, d, lam, 1, 3 ** lam))
+
+
 def test_kernel_tables_stay_within_their_bound():
     tables = fx._KernelTables(1000)
     for n in list(range(1, 200)) + [600, 3, 300, 1500]:
