@@ -83,6 +83,12 @@ class DigitalFunction:
         if self.F[0] != 0:
             raise ValueError("all-zero window must have weight 0")
         object.__setattr__(self, "F", tuple(int(v) for v in self.F))
+        # hashed once: cached tables are keyed by f, and F may have 2^19 entries
+        object.__setattr__(self, "_hash",
+                           hash((self.q, self.m, self.F, self.m_prime)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def table_size(self) -> int:
@@ -136,9 +142,13 @@ def normalize(f: DigitalFunction) -> DigitalFunction:
     returns the table F'(n) = F(n) + G(n) - G(floor(n/q)).  Entries may
     come out negative.  Idempotent on already-normalized tables.
     """
+    return f if f.m == 1 else _normalized(f)
+
+
+@lru_cache(maxsize=64)
+def _normalized(f: DigitalFunction) -> DigitalFunction:
+    # cached: each wide `stream` call normalizes, and F may have 2^19 entries
     q, m, size = f.q, f.m, f.table_size
-    if m == 1:
-        return f
     G = [sum(f.F[(n * q ** j) % size] for j in range(1, m)) for n in range(size)]
     newF = tuple(f.F[n] + G[n] - G[n // q] for n in range(size))
     return DigitalFunction(q, m, newF, f.m_prime)
@@ -326,28 +336,45 @@ def find_difference_witness(f: DigitalFunction, alpha_num: int):
 # vectorized evaluation
 
 
+def _rem(x: np.ndarray, d: int, out=None) -> np.ndarray:
+    """x mod d as Python % gives it, for a positive d that fits x's dtype.
+
+    A mask for a power of two, else x - (x // d) d: floor division by a
+    scalar multiplies and shifts, while np.remainder divides per element.
+    The product may wrap, but the result is right mod 2^bits and in [0, d).
+    """
+    if d & (d - 1) == 0:
+        return np.bitwise_and(x, d - 1, out=out)
+    quot = x // d
+    quot *= d
+    return np.subtract(x, quot, out=out)
+
+
+@lru_cache(maxsize=256)
+def _acc_dtype(f: DigitalFunction, digits: int):
+    """Narrowest signed dtype holding m' and any sum of `digits` weights."""
+    bound = max(digits * max(map(abs, f.F)), f.m_prime)
+    return next((dt for dt in (np.int16, np.int32)
+                 if bound <= np.iinfo(dt).max), np.int64)
+
+
 @lru_cache(maxsize=64)
 def _block_table(f: DigitalFunction, width: int):
     """T[y] = sum_{j < width} F[(y // q^j) mod q^m] for y < q^(width+m-1).
 
     Lets the window scan advance `width` digits per lookup.  Stored in
-    the narrowest dtype that holds the values, which keeps the gather
-    traffic low on long streams.
+    the accumulator dtype of `width` digits, which keeps the gather
+    traffic low on long streams and is never wider than a scan's sum.
     """
     q, size = f.q, f.table_size
     n = q ** (width + f.m - 1)
     F = np.asarray(f.F, dtype=np.int64)
-    y = np.arange(n, dtype=np.int64)
+    cur = np.arange(n, dtype=np.int64)
     total = np.zeros(n, dtype=np.int64)
-    cur = y
     for _ in range(width):
-        total += F[cur % size]
-        cur = cur // q
-    for dtype in (np.int16, np.int32):
-        if total.size and np.iinfo(dtype).min < total.min() \
-                and total.max() < np.iinfo(dtype).max:
-            return total.astype(dtype)
-    return total
+        total += F[_rem(cur, size)]
+        cur //= q
+    return total.astype(_acc_dtype(f, width))
 
 
 def _block_width(f: DigitalFunction) -> int:
@@ -370,27 +397,34 @@ def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
 
     Advances `_block_width(g)` digits per block-table lookup and takes the
     last digits mod width in one lookup of the narrower table, so the
-    round count is fixed.  x is overwritten.
+    round count is fixed.  Gathers go into buffers made once per call;
+    the sum stays in `_acc_dtype(g, digits)`.  x is overwritten.
     """
     q = g.q
-    out = np.zeros(x.shape, dtype=np.int64)
+    out = np.zeros(x.shape, dtype=_acc_dtype(g, digits))
     width = _block_width(g)
     full, rest = divmod(digits, width)
     if full:
         table = _block_table(g, width)
         size, step = q ** (width + g.m - 1), q ** width
-        if q & (q - 1) == 0:  # power-of-two base: shifts beat division
-            mask, bits = size - 1, step.bit_length() - 1
-            for _ in range(full):
-                out += table[x & mask]
-                x >>= bits
-        else:
-            for _ in range(full):
-                out += table[x % size]
+        idx, vals = np.empty_like(x), np.empty(x.shape, dtype=table.dtype)
+        for _ in range(full):
+            out += np.take(table, _rem(x, size, out=idx), out=vals)
+            if q & (q - 1) == 0:  # power-of-two base: a shift beats division
+                x >>= step.bit_length() - 1
+            else:
                 x //= step
     if rest:
-        out += _block_table(g, rest)[x]
+        out += np.take(_block_table(g, rest), x)
     return out
+
+
+def _eval_b_shifted(f: DigitalFunction, x: np.ndarray, top: int) -> np.ndarray:
+    """b(x // q^(m-1)) for int64 x <= top < 2^62, in the scan's dtype."""
+    digits = 1
+    while f.q ** digits <= top:
+        digits += 1
+    return _scan(f, x, digits)
 
 
 def eval_b_many(f: DigitalFunction, ns) -> np.ndarray:
@@ -409,10 +443,7 @@ def eval_b_many(f: DigitalFunction, ns) -> np.ndarray:
     top = int(ns.max()) * shift
     if top >= _VECTOR_ARG_LIMIT:
         raise OverflowError("arguments too wide for the vectorized path")
-    digits = 1
-    while f.q ** digits <= top:
-        digits += 1
-    return _scan(f, ns * shift, digits)
+    return _eval_b_shifted(f, ns * shift, top).astype(np.int64, copy=False)
 
 
 def eval_b_band_many(f: DigitalFunction, xs, mu: int, lam: int) -> np.ndarray:
@@ -426,12 +457,13 @@ def eval_b_band_many(f: DigitalFunction, xs, mu: int, lam: int) -> np.ndarray:
         return np.zeros(0, dtype=np.int64)
     period, low = f.q ** (lam + f.m - 1), f.q ** mu
     if period <= np.iinfo(np.int64).max:
-        xs = xs % period
+        xs = _rem(xs, period)
     elif xs.min() < 0:
         raise OverflowError("band period too wide for vectorized reduction")
     if low > np.iinfo(np.int64).max:  # every argument is below q^mu
         return np.zeros(xs.shape, dtype=np.int64)
-    return _scan(f, xs // low, lam - mu)  # the scan overwrites its input
+    # the scan overwrites its input
+    return _scan(f, xs // low, lam - mu).astype(np.int64, copy=False)
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import check as budget_check
-from .digital import DigitalFunction, eval_b_band_many
+from .digital import DigitalFunction, _rem, eval_b_band_many
 from .normality import AlphaVector
 from .phases import e_frac, roots_of_unity
 
@@ -156,7 +156,7 @@ class FourierContext:
             period = self.q ** (depth + self.m - 1)
             budget_check("sum", period, "phase table")
             xs = np.arange(period, dtype=np.int64)
-            tab = eval_b_band_many(self.f, xs, 0, depth) % self.m_prime
+            tab = _rem(eval_b_band_many(self.f, xs, 0, depth), self.m_prime)
             self._btab[depth] = tab
         return tab
 

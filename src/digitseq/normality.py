@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .budget import check as budget_check
-from .digital import DigitalFunction
+from .digital import DigitalFunction, _rem
 from .phases import roots_of_unity
 from .seqgen import SQUARE, stream
 
@@ -229,7 +229,7 @@ def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
         for ell, num in enumerate(alpha.numerators):
             if num:
                 phases += num * bsq[ell:ell + c]
-        phases %= f.m_prime
+        _rem(phases, f.m_prime, out=phases)
         i, lo = bisect.bisect_right(grid, s), s   # grid[i] is the next cut
         while lo < s + c:
             hi = min(grid[i], s + c)

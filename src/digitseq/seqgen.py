@@ -21,8 +21,9 @@ from .digital import (
     DigitalFunction,
     MAX_ARG_BITS,
     _block_width,
+    _eval_b_shifted,
+    _rem,
     _scan,
-    eval_b_many,
     make_digital_function,
     normalize,
 )
@@ -192,8 +193,6 @@ def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
     nonnegative differences, so limbs come from n(s), d1 and d2 alone.
     """
     base, low = g.q ** limb_digits, g.q ** (g.m - 1)
-    pow2 = g.q & (g.q - 1) == 0
-    bits = base.bit_length() - 1
     i = np.arange(min(count, _WIDE_SPAN), dtype=np.int64)
     tri = i * (i - 1) // 2
     out = np.empty(count, dtype=np.int64)
@@ -212,28 +211,30 @@ def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
                 v += tri[:c] * k2
             v += carry
             v += k0
-            if pow2:
-                carry = v >> bits
-                v &= base - 1
-            else:
-                carry, v = np.divmod(v, base)
-            limbs.append(v)
+            carry = v // base
+            limbs.append(_rem(v, base, out=v))
         total = np.zeros(c, dtype=np.int64)
         for k, x in enumerate(limbs):
             if low > 1 and k + 1 < len(limbs):
-                x += limbs[k + 1] % low * base
+                x += _rem(limbs[k + 1], low) * base
             total += _scan(g, x, limb_digits)
         out[s - start:s - start + c] = total
     return out
 
 
 def _emit_chunk(f: DigitalFunction, index_map: IndexMap, start: int,
-                count: int, wide) -> np.ndarray:
+                count: int) -> np.ndarray:
+    """b(map(t)) mod m' for t in [start, start+count), in the scan's
+    accumulator dtype below 2^62 (it holds m') and int64 beyond."""
     top = index_map(start + count - 1) * f.q ** (f.m - 1)
     if top < _VECTOR_ARG_LIMIT:
-        ts = np.arange(start, start + count, dtype=np.int64)
-        return eval_b_many(f, index_map(ts)) % f.m_prime
-    return _emit_wide(*wide, index_map, start, count) % f.m_prime
+        x = index_map(np.arange(start, start + count, dtype=np.int64))
+        if f.m > 1:
+            x *= f.q ** (f.m - 1)
+        b = _eval_b_shifted(f, x, top)
+    else:  # normalizing leaves b as is
+        b = _emit_wide(normalize(f), _limb_digits(f), index_map, start, count)
+    return _rem(b, f.m_prime, out=b)
 
 
 def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
@@ -242,9 +243,10 @@ def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
 
     Work proceeds in chunks sized to stay cache-resident and is written
     into one preallocated output, so throughput is flat in count.  The
-    512 KB chunk temporaries also keep a 10^6-symbol call's heap growth
-    under glibc's trim threshold, so repeated calls reuse their pages
-    instead of faulting in about 3,000 fresh ones each.  A chunk whose
+    chunk temporaries (two 512 KB int64 arrays and a few narrower ones)
+    also keep a 10^6-symbol call's heap growth under glibc's trim
+    threshold, so repeated calls reuse their pages instead of faulting
+    in about 3,000 fresh ones each.  A chunk whose
     map values outgrow int64 is evaluated exactly on int64 limbs with
     the same block tables, so throughput also holds past 2^62.
     threads > 1 fans chunks out to a thread pool of at most
@@ -261,16 +263,13 @@ def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
     if count == 0:
         return np.zeros(0, dtype=np.int64)
 
-    wide = None
-    if index_map(start + count - 1) * f.q ** (f.m - 1) >= _VECTOR_ARG_LIMIT:
-        wide = (normalize(f), _limb_digits(f))  # normalizing leaves b as is
     out = np.empty(count, dtype=np.int64)
     spans = [(s, min(chunk, start + count - s))
              for s in range(start, start + count, chunk)]
 
     def fill(span):
         s, c = span
-        out[s - start:s - start + c] = _emit_chunk(f, index_map, s, c, wide)
+        out[s - start:s - start + c] = _emit_chunk(f, index_map, s, c)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

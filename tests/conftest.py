@@ -31,6 +31,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(line)
 
 
+# Unit tables scaled by w for the accumulator-limit tests: q = 2, m = 1
+# counts ones, so b(2^D - 1) = D w meets the D-digit scan's bound; the
+# m = 3 table normalizes to w [0, 1, 0, -1, 0, 1, 0, 0].
+LIMIT_TABLES = {"ones": [0, 1], "negative": [0, 0, 1, 0, 0, 0, 0, 0]}
+LIMITS = [(2 ** 15 - 1, np.int16, np.int32), (2 ** 31 - 1, np.int32, np.int64)]
+
+
+def limit_function(unit, limit, above, digits, wide=False):
+    """unit scaled so that `digits` times the largest |weight| of the
+    table the scan reads, the normalized one when `wide`, is at most
+    `limit`, or just past it when `above`."""
+    w = limit // digits + above
+    f = dq.make_digital_function(2, len(unit).bit_length() - 1,
+                                 [w * v for v in unit], 7)
+    scanned = dq.normalize(f) if wide else f
+    assert (digits * max(map(abs, scanned.F)) > limit) == above
+    return f, scanned
+
+
 @pytest.fixture(scope="session")
 def thue_morse():
     return dq.preset("thue-morse")

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
+from conftest import LIMIT_TABLES, LIMITS, limit_function
 from digitseq.digital import (
     FunctionSpecError,
     WitnessNotFoundError,
+    _acc_dtype,
     _block_width,
+    _rem,
     boundary_difference,
     eval_b_band_many,
 )
@@ -230,6 +233,53 @@ def test_band_kernel_matches_window(rng, q, m):
         win = dq.TruncationWindow(mu, lam)
         want = [dq.eval_b_window(g, int(x), win) for x in args]
         assert eval_b_band_many(g, args, mu, lam).tolist() == want, (mu, lam)
+
+
+INT64_EDGES = [-2 ** 63, -2 ** 62 - 1, -2 ** 62, -1, 0, 1, 2 ** 62, 2 ** 63 - 1]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                          st.sampled_from(INT64_EDGES)), min_size=1, max_size=40),
+       st.one_of(st.integers(0, 62).map(lambda e: 1 << e), st.integers(1, 1000),
+                 st.integers(1, 2 ** 63 - 1)))
+def test_rem_matches_python_mod(xs, d):
+    x = np.array(xs, dtype=np.int64)
+    want = [v % d for v in xs]
+    assert _rem(x, d).tolist() == want
+    assert x.tolist() == xs
+    assert _rem(x, d, out=x) is x and x.tolist() == want
+
+
+def test_rem_on_the_int16_accumulator():
+    x = np.arange(-2 ** 15, 2 ** 15, dtype=np.int16)
+    for d in (1, 2, 3, 7, 1024, 2 ** 15 - 1):
+        assert _rem(x, d).tolist() == [v % d for v in range(-2 ** 15, 2 ** 15)]
+
+
+@pytest.mark.parametrize("name", LIMIT_TABLES)
+@pytest.mark.parametrize("limit,narrow,wider", LIMITS)
+@pytest.mark.parametrize("above", [False, True])
+def test_many_at_accumulator_limits(name, limit, narrow, wider, above):
+    unit = LIMIT_TABLES[name]
+    shift = len(unit) // 2  # q^(m-1)
+    top = (1 << 62) // shift  # arguments below top scan 62 digits
+    f, _ = limit_function(unit, limit, above, 62)
+    assert _acc_dtype(f, 62) == (wider if above else narrow)
+    ns = np.array([top - 1, top - 2, top // 2, (top - 1) // 3, 12345, 0],
+                  dtype=np.int64)
+    got = dq.eval_b_many(f, ns)
+    assert got.dtype == np.int64
+    assert got.tolist() == [dq.eval_b(f, int(n)) for n in ns]
+
+    lam = 62 - (len(unit).bit_length() - 2)  # period q^(lam+m-1) = 2^62
+    _, g = limit_function(unit, limit, above, lam, wide=True)
+    assert _acc_dtype(g, lam) == (wider if above else narrow)
+    xs = np.concatenate([ns, ns - (1 << 62)])  # negative ones reduce to ns
+    band = eval_b_band_many(g, xs, 0, lam)
+    assert band.dtype == np.int64
+    win = dq.TruncationWindow(0, lam)
+    assert band.tolist() == [dq.eval_b_window(g, int(x), win) for x in xs]
 
 
 def test_truncation_requires_normalized():

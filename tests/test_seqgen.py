@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
+from conftest import LIMIT_TABLES, LIMITS, limit_function
 from digitseq import seqgen
+from digitseq.digital import _acc_dtype, _normalized
 from digitseq.seqgen import SequenceStream, parse_index_map, parse_preset
 
 
@@ -289,6 +291,52 @@ def test_wide_limbs_hold_the_overflow_bound(name):
                for p in (s, s + 1, s + (1 << 14), s + (1 << 15) - 1)]
     assert [int(got[p]) for p in checked] == \
         [dq.eval_b(f, steep(start + p)) for p in checked]
+
+
+@pytest.mark.parametrize("name", ["ones", "negative"])
+@pytest.mark.parametrize("limit,narrow,wider", LIMITS)
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+def test_stream_at_accumulator_limits(name, limit, narrow, wider, above, wide):
+    unit = LIMIT_TABLES[name]
+    m = len(unit).bit_length() - 1
+    # narrow: map values up to 2^62 / q^(m-1), scanned over 62 digits;
+    # wide: past 2^62, scanned limb by limb with the normalized table
+    digits = seqgen._limb_digits(dq.make_digital_function(2, m, unit, 7)) \
+        if wide else 62
+    f, scanned = limit_function(unit, limit, above, digits, wide)
+    assert _acc_dtype(scanned, digits) == (wider if above else narrow)
+    bits = 3 * digits if wide else 62 - (m - 1)
+    for end in (1 << bits, (1 << bits) // 3 + 40):  # ones, then 0101...
+        got = dq.stream(f, dq.IDENTITY, end - 40, 40)
+        assert got.dtype == np.int64
+        assert got.tolist() == _scalar(f, dq.IDENTITY, range(end - 40, end))
+
+
+@pytest.mark.parametrize("m_prime", [2 ** 15 - 1, 2 ** 15, 2 ** 16, 10 ** 5 + 3])
+def test_stream_modulus_past_the_weight_bound(m_prime):
+    # digit sums stay far below 2^15, so the accumulator must widen for m'
+    f = parse_preset(f"digit-sum:10,{m_prime}")
+    for start in (10 ** 6, 2 ** 40):
+        got = dq.stream(f, dq.SQUARE, start, 500)
+        assert got.tolist() == _scalar(f, dq.SQUARE, range(start, start + 500))
+
+
+@pytest.mark.parametrize("name,start", [("block-ones:19", 0),
+                                        ("block-ones:12", 2 ** 40)])
+def test_stream_per_call_work_is_independent_of_table_size(name, start):
+    # block-ones:L has 2^L weights; after warm-up a call finds its
+    # accumulator dtype, and past 2^62 its normalized table, in a cache
+    # instead of scanning F again
+    f = parse_preset(name)
+    dq.stream(f, dq.SQUARE, start, 1024)
+    helpers = (_acc_dtype, _normalized)
+    before = [h.cache_info() for h in helpers]
+    for _ in range(2):
+        dq.stream(f, dq.SQUARE, start, 1024)
+    for h, was in zip(helpers, before):
+        assert h.cache_info().misses == was.misses, h
+    assert _acc_dtype.cache_info().hits > before[0].hits
 
 
 def test_stream_rejects_empty_chunks(thue_morse):
