@@ -201,6 +201,15 @@ def _fourier_check_witness(ctx, rng, samples):
     return {"witnesses": records, "ok": ok}
 
 
+_FOURIER_CHECKS = {
+    "recursion": _fourier_check_recursion, "parseval": _fourier_check_parseval,
+    "prop1": _fourier_check_prop1, "prop2": _fourier_check_prop2,
+    "cond1": lambda ctx, rng, samples: fourier.check_condition1(ctx).to_dict(),
+    "cond2": lambda ctx, rng, samples: fourier.check_condition2(ctx).to_dict(),
+    "witness": _fourier_check_witness,
+}
+
+
 def _cmd_fourier(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -211,22 +220,9 @@ def _cmd_fourier(args) -> int:
     alpha = AlphaVector.parse(args.alpha, f.m_prime)
     ctx = fourier.make_context(f, alpha, args.lam)
     rng = np.random.default_rng(args.seed)
-    if args.check == "recursion":
-        body = _fourier_check_recursion(ctx, rng, args.samples)
-    elif args.check == "parseval":
-        body = _fourier_check_parseval(ctx, rng, args.samples)
-    elif args.check == "prop1":
-        body = _fourier_check_prop1(ctx, rng, args.samples)
-    elif args.check == "prop2":
-        body = _fourier_check_prop2(ctx, rng, args.samples)
-    elif args.check == "cond1":
-        body = fourier.check_condition1(ctx).to_dict()
-    elif args.check == "cond2":
-        body = fourier.check_condition2(ctx).to_dict()
-        if body["wrong_branch"]:
-            raise ValueError("condition 2 needs integral K; this alpha is wrong-branch")
-    else:
-        body = _fourier_check_witness(ctx, rng, args.samples)
+    body = _FOURIER_CHECKS[args.check](ctx, rng, args.samples)
+    if body.get("wrong_branch"):  # only condition 2 has a wrong branch
+        raise ValueError("condition 2 needs integral K; this alpha is wrong-branch")
     _emit_json(args, {
         "inputs": {"alpha": list(alpha.numerators), "m_prime": f.m_prime,
                    "lam": args.lam, "check": args.check, "seed": args.seed},
@@ -391,9 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_function_source(p)
     p.add_argument("--alpha", required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
-    p.add_argument("--check", required=True,
-                   choices=("recursion", "parseval", "prop1", "prop2",
-                            "cond1", "cond2", "witness"))
+    p.add_argument("--check", required=True, choices=tuple(_FOURIER_CHECKS))
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out")

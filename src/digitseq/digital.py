@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .budget import check as budget_check
 
 # b must stay exact for arguments up to 2^126 so that squares of 63-bit
 # indices are in range; wider inputs are rejected instead of wrapping.
@@ -94,9 +96,10 @@ class DigitalFunction:
     def table_size(self) -> int:
         return self.q ** self.m
 
-    @property
+    @cached_property
     def is_normalized(self) -> bool:
-        return _is_normalized(self)
+        # normalize(f) == f iff G(n) = G(n // q) for all n iff G == G(0) = 0
+        return self.m == 1 or normalize(self).F == self.F
 
     def __repr__(self):
         body = f"q={self.q}, m={self.m}, m_prime={self.m_prime}"
@@ -115,12 +118,6 @@ class TruncationWindow:
     def __post_init__(self):
         if not 0 <= self.mu <= self.lam:
             raise ValueError(f"need 0 <= mu <= lam, got ({self.mu}, {self.lam})")
-
-
-@lru_cache(maxsize=256)
-def _is_normalized(f: DigitalFunction) -> bool:
-    # normalize(f) == f iff G(n) = G(n // q) for all n iff G == G(0) = 0
-    return f.m == 1 or normalize(f).F == f.F
 
 
 def make_digital_function(q: int, m: int, F, m_prime: int) -> DigitalFunction:
@@ -147,11 +144,14 @@ def normalize(f: DigitalFunction) -> DigitalFunction:
 
 @lru_cache(maxsize=64)
 def _normalized(f: DigitalFunction) -> DigitalFunction:
-    # cached: each wide `stream` call normalizes, and F may have 2^19 entries
+    # cached, as F may have 2^19 entries.  (n q^j) mod q^m = (n mod q^(m-j)) q^j,
+    # so G(n) is G(n mod q^(m-1)): G tiled q times, and G(n // q) is G repeated
     q, m, size = f.q, f.m, f.table_size
-    G = [sum(f.F[(n * q ** j) % size] for j in range(1, m)) for n in range(size)]
-    newF = tuple(f.F[n] + G[n] - G[n // q] for n in range(size))
-    return DigitalFunction(q, m, newF, f.m_prime)
+    F = np.asarray(f.F, dtype=_acc_dtype(f, 2 * m - 1))
+    r = np.arange(q ** (m - 1))
+    G = sum(F[_rem(r * q ** j, size)] for j in range(1, m))
+    newF = F + np.tile(G, q) - np.repeat(G, q)
+    return DigitalFunction(q, m, newF.tolist(), f.m_prime)
 
 
 def _check_arg(n: int) -> None:
@@ -287,18 +287,15 @@ def check_gcd_conditions(f: DigitalFunction) -> GcdConditionReport:
     """
     if f.m_prime <= 1:
         raise ValueError("gcd conditions need m_prime > 1")
-    q, size = f.q, f.table_size
-    g = f if f.is_normalized else normalize(f)
     primes = tuple(_prime_factors(f.m_prime))
-    bvals = [eval_b(f, n) for n in range(size)]
+    b = eval_b_many(f, np.arange(f.table_size))  # checks 2m-1 weight sums
+    weights = np.asarray(normalize(f).F, dtype=np.int64)
     return GcdConditionReport(
-        q=q,
-        m_prime=f.m_prime,
-        primes=primes,
-        gcd_q_minus_1_ok=math.gcd(q - 1, f.m_prime) == 1,
-        table_scan_ok=all(any(g.F[n] % p != 0 for n in range(size)) for p in primes),
-        b_scan_ok=all(any(bv % p != 0 for bv in bvals) for p in primes),
-        naive_gcd_scan_ok=any(math.gcd(f.m_prime, bv) == 1 for bv in bvals),
+        q=f.q, m_prime=f.m_prime, primes=primes,
+        gcd_q_minus_1_ok=math.gcd(f.q - 1, f.m_prime) == 1,
+        table_scan_ok=all(np.any(weights % p) for p in primes),
+        b_scan_ok=all(np.any(b % p) for p in primes),
+        naive_gcd_scan_ok=bool(np.any(np.gcd(b, f.m_prime) == 1)),
     )
 
 
@@ -308,28 +305,31 @@ def boundary_difference(f: DigitalFunction, e: int) -> int:
     return eval_b(f, top - 1) - eval_b(f, top)
 
 
+@lru_cache(maxsize=256)
 def find_difference_witness(f: DigitalFunction, alpha_num: int):
-    """Smallest (e1, e2) with boundary-jump difference d, d*alpha not in Z.
+    """Lexicographically first (e1, e2), e1, e2 < q^(2m-1), whose jumps
+    differ by a d with d*alpha not in Z, alpha = alpha_num / m_prime.
 
-    alpha = alpha_num / m_prime.  Search is lexicographic over
-    e1, e2 < q^(2m-1) so results are deterministic.  Under the gcd
-    hypotheses a witness always exists; exhaustion raises
-    WitnessNotFoundError.
+    (d1 - d2) alpha is in Z iff d1 = d2 mod m' / gcd(alpha_num, m'), so
+    unless every jump has the first one's residue (which the gcd
+    hypotheses rule out; exhaustion raises WitnessNotFoundError), the
+    answer is e1 = 0 and the first e2 whose residue differs.
     """
-    mp = f.m_prime
-    if not 1 <= alpha_num <= mp - 1:
+    if not 1 <= alpha_num <= f.m_prime - 1:
         raise ValueError(f"need 1 <= alpha_num <= m_prime-1, got {alpha_num}")
     bound = f.q ** (2 * f.m - 1)
-    diffs = [boundary_difference(f, e) for e in range(bound)]
-    for e1 in range(bound):
-        for e2 in range(bound):
-            d = diffs[e1] - diffs[e2]
-            if (d * alpha_num) % mp != 0:
-                return e1, e2, d
-    raise WitnessNotFoundError(
-        f"no boundary-difference witness below q^(2m-1)={bound}; "
-        "the gcd hypotheses fail for this function"
-    )
+    budget_check("sum", bound, "boundary-difference witness search")
+    M = f.m_prime // math.gcd(alpha_num, f.m_prime)
+    top = f.q ** (f.m - 1) * np.arange(1, bound + 1)
+    below, at = eval_b_many(f, top - 1), eval_b_many(f, top)
+    residue = _rem(_rem(below, M) - _rem(at, M), M)
+    differs = np.flatnonzero(residue != residue[0])
+    if not differs.size:
+        raise WitnessNotFoundError("no boundary-difference witness below "
+                                   f"q^(2m-1)={bound}; the gcd hypotheses fail "
+                                   "for this function")
+    e2 = int(differs[0])
+    return 0, e2, int(below[0]) - int(at[0]) - int(below[e2]) + int(at[e2])
 
 
 # ----------------------------------------------------------------------
@@ -352,10 +352,15 @@ def _rem(x: np.ndarray, d: int, out=None) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _acc_dtype(f: DigitalFunction, digits: int):
-    """Narrowest signed dtype holding m' and any sum of `digits` weights."""
+    """Narrowest signed dtype holding m' and any sum of `digits` weights;
+    past int64 it raises OverflowError, so the vectorized paths never wrap."""
     bound = max(digits * max(map(abs, f.F)), f.m_prime)
-    return next((dt for dt in (np.int16, np.int32)
-                 if bound <= np.iinfo(dt).max), np.int64)
+    if bound > np.iinfo(np.int64).max:
+        raise OverflowError(f"a sum of {digits} table weights or the modulus "
+                            "could pass 2^63 - 1; the vectorized paths hold "
+                            "int64 (eval_b is exact)")
+    return next(dt for dt in (np.int16, np.int32, np.int64)
+                if bound <= np.iinfo(dt).max)
 
 
 @lru_cache(maxsize=64)
@@ -366,22 +371,24 @@ def _block_table(f: DigitalFunction, width: int):
     the accumulator dtype of `width` digits, which keeps the gather
     traffic low on long streams and is never wider than a scan's sum.
     """
-    q, size = f.q, f.table_size
-    n = q ** (width + f.m - 1)
-    F = np.asarray(f.F, dtype=np.int64)
-    cur = np.arange(n, dtype=np.int64)
-    total = np.zeros(n, dtype=np.int64)
-    for _ in range(width):
-        total += F[_rem(cur, size)]
-        cur //= q
-    return total.astype(_acc_dtype(f, width))
+    # T_w[y] = F[y mod q^m] + T_(w-1)[y // q], exact in the dtype of w digits
+    F = table = np.asarray(f.F, dtype=_acc_dtype(f, width))
+    for w in range(1, width):
+        table = np.tile(F, f.q ** w) + np.repeat(table, f.q)
+    return table
+
+
+def _ilog_floor(q: int, x: int) -> int:
+    """Largest t >= 0 with q^t <= x (x >= 1); 0 for x < q."""
+    t = 0
+    while q ** (t + 1) <= x:
+        t += 1
+    return t
 
 
 def _block_width(f: DigitalFunction) -> int:
-    width = 0
-    while f.q ** (width + f.m) <= 1 << 18:
-        width += 1
-    return max(width, 1)
+    """Digits per lookup: the widest table has q^(width+m-1) <= 2^18 entries."""
+    return max(_ilog_floor(f.q, 1 << 18) - f.m + 1, 1)
 
 
 def _int64_array(ns) -> np.ndarray:
@@ -419,14 +426,6 @@ def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
     return out
 
 
-def _eval_b_shifted(f: DigitalFunction, x: np.ndarray, top: int) -> np.ndarray:
-    """b(x // q^(m-1)) for int64 x <= top < 2^62, in the scan's dtype."""
-    digits = 1
-    while f.q ** digits <= top:
-        digits += 1
-    return _scan(f, x, digits)
-
-
 def eval_b_many(f: DigitalFunction, ns) -> np.ndarray:
     """Vectorized b over integer arguments; bit-identical to eval_b.
 
@@ -443,7 +442,7 @@ def eval_b_many(f: DigitalFunction, ns) -> np.ndarray:
     top = int(ns.max()) * shift
     if top >= _VECTOR_ARG_LIMIT:
         raise OverflowError("arguments too wide for the vectorized path")
-    return _eval_b_shifted(f, ns * shift, top).astype(np.int64, copy=False)
+    return _scan(f, ns * shift, _ilog_floor(f.q, top) + 1).astype(np.int64, copy=False)
 
 
 def eval_b_band_many(f: DigitalFunction, xs, mu: int, lam: int) -> np.ndarray:

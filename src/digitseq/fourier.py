@@ -51,21 +51,12 @@ from functools import lru_cache
 import numpy as np
 
 from .budget import check as budget_check
-from .digital import DigitalFunction, _rem, eval_b_band_many
+from .digital import DigitalFunction, _ilog_floor, _rem, eval_b_band_many
 from .normality import AlphaVector
 from .phases import e_frac, roots_of_unity
 
 _TOL = 1e-9
 _EXACT_TOL = 1e-12
-
-
-def _ilog_floor(q: int, x: int) -> int:
-    """Largest t >= 0 with q^t <= x (x >= 1)."""
-    t, p = 0, q
-    while p <= x:
-        t += 1
-        p *= q
-    return t
 
 
 # ----------------------------------------------------------------------

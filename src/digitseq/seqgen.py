@@ -16,12 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import check as budget_check
 from .digital import (
     _VECTOR_ARG_LIMIT,
     DigitalFunction,
     MAX_ARG_BITS,
+    _acc_dtype,
     _block_width,
-    _eval_b_shifted,
+    _ilog_floor,
     _rem,
     _scan,
     make_digital_function,
@@ -131,6 +133,7 @@ def preset(name: str, **params) -> DigitalFunction:
         _reject_params(name, params)
         if L < 1:
             raise ValueError(f"block length must be >= 1, got {L}")
+        budget_check("sum", 2 ** L, f"block-ones:{L} weight table")
         table = [0] * (2 ** L)
         table[-1] = 1
         return make_digital_function(2, L, table, 2)
@@ -177,10 +180,7 @@ def _map_range_check(index_map: IndexMap, start: int, count: int) -> None:
 def _limb_digits(f: DigitalFunction) -> int:
     """L: the largest multiple of the block width with q^L <= 2^34."""
     width = _block_width(f)
-    digits = 0
-    while f.q ** (digits + width) <= _LIMB_BASE_LIMIT:
-        digits += width
-    return digits
+    return width * (_ilog_floor(f.q, _LIMB_BASE_LIMIT) // width)
 
 
 def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
@@ -193,6 +193,8 @@ def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
     nonnegative differences, so limbs come from n(s), d1 and d2 alone.
     """
     base, low = g.q ** limb_digits, g.q ** (g.m - 1)
+    # the int64 total sums limb_digits weights from each limb of the top value
+    _acc_dtype(g, limb_digits * (_ilog_floor(base, index_map(start + count - 1)) + 1))
     i = np.arange(min(count, _WIDE_SPAN), dtype=np.int64)
     tri = i * (i - 1) // 2
     out = np.empty(count, dtype=np.int64)
@@ -231,7 +233,7 @@ def _emit_chunk(f: DigitalFunction, index_map: IndexMap, start: int,
         x = index_map(np.arange(start, start + count, dtype=np.int64))
         if f.m > 1:
             x *= f.q ** (f.m - 1)
-        b = _eval_b_shifted(f, x, top)
+        b = _scan(f, x, _ilog_floor(f.q, top) + 1)  # b(x // q^(m-1))
     else:  # normalizing leaves b as is
         b = _emit_wide(normalize(f), _limb_digits(f), index_map, start, count)
     return _rem(b, f.m_prime, out=b)

@@ -302,6 +302,18 @@ def test_spec_file_source(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_weight_sums_past_int64_exit_2(tmp_path, capsys):
+    # b(3) = 2^63 would wrap in int64; 2^63 itself does not convert at all
+    for weight in (2 ** 62, 2 ** 63):
+        spec = tmp_path / "wide.txt"
+        spec.write_text(f"q=2 m=1 mod=3\nF 0 {weight}\n")
+        assert dispatch(["generate", "--spec-file", str(spec),
+                         "--start", "3", "--count", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a sum of 2 table weights or the modulus "
+                              "could pass 2^63 - 1"), err
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, _ = run(capsys, "generate", "--preset", "thue-morse",
@@ -336,6 +348,12 @@ GOLDEN = [
     ("fourier_witness_rs_10_lam8_s8.json",
      ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,0",
       "--lambda", "8", "--check", "witness", "--samples", "8"]),
+    ("fourier_recursion_rs_11_lam6_s16.json",
+     ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1",
+      "--lambda", "6", "--check", "recursion", "--samples", "16"]),
+    ("fourier_parseval_rs_10_lam8_s16.json",
+     ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,0",
+      "--lambda", "8", "--check", "parseval", "--samples", "16"]),
     ("fourier_prop1_rs_11_lam8.json",
      ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1",
       "--lambda", "8", "--check", "prop1"]),

@@ -1,6 +1,8 @@
 """Core digital-function behaviour against independent window oracles."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
 from conftest import LIMIT_TABLES, LIMITS, limit_function
+from digitseq.budget import BudgetExceededError
 from digitseq.digital import (
+    DigitalFunction,
     FunctionSpecError,
+    GcdConditionReport,
     WitnessNotFoundError,
     _acc_dtype,
     _block_width,
+    _ilog_floor,
+    _prime_factors,
     _rem,
     boundary_difference,
     eval_b_band_many,
@@ -404,6 +411,155 @@ def test_difference_witness_exhaustion():
 def test_difference_witness_deterministic(rudin_shapiro):
     assert dq.find_difference_witness(rudin_shapiro, 1) == \
         dq.find_difference_witness(rudin_shapiro, 1)
+
+
+def test_difference_witness_is_budget_checked(monkeypatch):
+    f = dq.make_digital_function(2, 3, [0, 1, 0, 0, 2, 0, 0, 1], 3)  # 2^5 jumps
+    monkeypatch.setenv("DIGITSEQ_BUDGET", "31")
+    with pytest.raises(BudgetExceededError, match="witness search needs 32"):
+        dq.find_difference_witness(f, 1)
+    monkeypatch.setenv("DIGITSEQ_BUDGET", "32")
+    assert dq.find_difference_witness(f, 1)[0] == 0
+
+
+# ----------------------------------------------------------------------
+# table-wide derivations against the loops they replaced
+
+
+def reference_normalize(f):
+    q, m, size = f.q, f.m, f.table_size
+    G = [sum(f.F[(n * q ** j) % size] for j in range(1, m)) for n in range(size)]
+    newF = tuple(f.F[n] + G[n] - G[n // q] for n in range(size))
+    return DigitalFunction(q, m, newF, f.m_prime)
+
+
+def reference_gcd_report(f):
+    q, size = f.q, f.table_size
+    g = reference_normalize(f)
+    primes = tuple(_prime_factors(f.m_prime))
+    bvals = [dq.eval_b(f, n) for n in range(size)]
+    return GcdConditionReport(
+        q=q,
+        m_prime=f.m_prime,
+        primes=primes,
+        gcd_q_minus_1_ok=math.gcd(q - 1, f.m_prime) == 1,
+        table_scan_ok=all(any(g.F[n] % p != 0 for n in range(size)) for p in primes),
+        b_scan_ok=all(any(bv % p != 0 for bv in bvals) for p in primes),
+        naive_gcd_scan_ok=any(math.gcd(f.m_prime, bv) == 1 for bv in bvals),
+    )
+
+
+def reference_witness(f, alpha_num, diffs):
+    """The lexicographic double loop over boundary_difference(f, e),
+    e < q^(2m-1); None where it comes up empty."""
+    for e1 in range(len(diffs)):
+        for e2 in range(len(diffs)):
+            d = diffs[e1] - diffs[e2]
+            if (d * alpha_num) % f.m_prime != 0:
+                return e1, e2, d
+    return None
+
+
+def _random_tables():
+    """Three tables per (q, m) where the q^(2m-1) x q^(2m-1) witness loop is
+    cheap, one elsewhere.  The third of three scales every weight by the
+    smallest prime of m', so table scans fail and witnesses run out."""
+    rng = np.random.default_rng(1704)
+    cases = []
+    for q in (2, 3, 5):
+        for m in (1, 2, 3, 4):
+            small = q ** (2 * m - 1) <= 3 ** 5
+            for trial in range(3 if small else 1):
+                mp = int(rng.integers(2, 9))
+                scale = min(_prime_factors(mp)) if trial == 2 else 1
+                weights = rng.integers(0, 10, q ** m - 1) * scale
+                cases.append(pytest.param(
+                    q, m, [0] + weights.tolist(), mp, id=f"q{q}-m{m}-t{trial}"))
+    # no b(n), n < q^m, is prime to 6, yet neither 2 nor 3 divides them all
+    return cases + [pytest.param(3, 1, [0, 2, 3], 6, id="naive-scan-differs")]
+
+
+@pytest.mark.parametrize("q,m,table,mp", _random_tables())
+def test_table_derivations_match_the_loops(q, m, table, mp):
+    raw = dq.make_digital_function(q, m, table, mp)
+    bound = q ** (2 * m - 1)
+    diffs = [boundary_difference(raw, e) for e in range(bound)]
+    for f in (raw, dq.normalize(raw)):
+        if m > 1:
+            assert dq.normalize(f).F == reference_normalize(f).F
+        got = json.dumps(dq.check_gcd_conditions(f).to_dict(), sort_keys=True)
+        assert got == json.dumps(reference_gcd_report(f).to_dict(), sort_keys=True)
+        for alpha_num in range(1, mp):
+            try:
+                got = dq.find_difference_witness(f, alpha_num)
+            except WitnessNotFoundError:
+                got = None
+            assert got == reference_witness(f, alpha_num, diffs), alpha_num
+
+
+def test_vectorized_normalize_on_block_ones():
+    f = dq.parse_preset("block-ones:9")
+    assert dq.normalize(f).F == reference_normalize(f).F
+
+
+# ----------------------------------------------------------------------
+# int64 bounds of the vectorized paths
+
+
+def test_vectorized_paths_refuse_sums_past_int64():
+    # b(3) = 2^63 = 2 mod 3 is exact in eval_b, and wrapped to -2^63 in int64
+    f = dq.make_digital_function(2, 1, [0, 2 ** 62], 3)
+    assert dq.eval_b(f, 3) == 2 ** 63
+    for call in (lambda: dq.eval_b_many(f, [3]),
+                 lambda: eval_b_band_many(f, [3], 0, 2),
+                 lambda: dq.stream(f, dq.IDENTITY, 3, 1),
+                 lambda: dq.stream(f, dq.IDENTITY, 2 ** 62, 1)):
+        with pytest.raises(OverflowError, match=r"could pass 2\^63 - 1"):
+            call()
+    # one weight fits
+    assert dq.eval_b_many(f, [1]).tolist() == [2 ** 62]
+    assert dq.stream(f, dq.IDENTITY, 1, 1).tolist() == [2 ** 62 % 3]
+
+
+def test_wide_stream_counts_every_limb():
+    # limbs of 18 binary digits: one limb's sum of 2^57 weights fits int64,
+    # the six limbs of 2^100 - 1 could pass it (b = 100 * 2^57 would wrap)
+    n = 2 ** 100 - 1
+    big = dq.make_digital_function(2, 1, [0, 2 ** 57], 3)
+    with pytest.raises(OverflowError, match="a sum of 108 table weights"):
+        dq.stream(big, dq.IDENTITY, n, 1)
+    fits = dq.make_digital_function(2, 1, [0, 2 ** 56], 3)
+    assert dq.stream(fits, dq.IDENTITY, n - 2, 3).tolist() == \
+        [dq.eval_b(fits, t) % 3 for t in range(n - 2, n + 1)]
+
+
+def test_weights_past_int64_raise_before_conversion():
+    f = dq.make_digital_function(2, 2, [0, 0, 2 ** 63, 1], 2)
+    for call in (lambda: dq.normalize(f), lambda: dq.check_gcd_conditions(f),
+                 lambda: dq.find_difference_witness(f, 1),
+                 lambda: dq.eval_b_many(f, [5])):
+        with pytest.raises(OverflowError, match=r"could pass 2\^63 - 1"):
+            call()
+
+
+# ----------------------------------------------------------------------
+# one integer logarithm
+
+
+def test_integer_log_gives_the_loop_widths():
+    for q in range(2, 40):
+        assert [_ilog_floor(q, x) for x in range(1, 200)] == \
+            [max(t for t in range(10) if q ** t <= x) for x in range(1, 200)]
+        for m in range(1, 7):
+            f = SimpleNamespace(q=q, m=m)  # the widths read only q and m
+            width = 0
+            while q ** (width + m) <= 1 << 18:
+                width += 1
+            assert _block_width(f) == max(width, 1)
+            limb = 0
+            while q ** (limb + _block_width(f)) <= 1 << 34:
+                limb += _block_width(f)
+            assert dq.seqgen._limb_digits(f) == limb
 
 
 # ----------------------------------------------------------------------

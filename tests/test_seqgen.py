@@ -1,5 +1,6 @@
 """Streams, presets, index maps: pointwise agreement and determinism."""
 
+import itertools
 import math
 import time
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import digitseq as dq
 from conftest import LIMIT_TABLES, LIMITS, limit_function
 from digitseq import seqgen
+from digitseq.budget import BudgetExceededError
 from digitseq.digital import _acc_dtype, _normalized
 from digitseq.seqgen import SequenceStream, parse_index_map, parse_preset
 
@@ -179,6 +181,20 @@ def test_sequence_stream_reads(thue_morse):
     a = s.read(5)
     b = s.read(3)
     assert np.concatenate([a, b]).tolist() == dq.stream(thue_morse, dq.SQUARE, 0, 8).tolist()
+
+
+def test_sequence_stream_iterates_across_reads(rudin_shapiro):
+    # iteration pulls 2^14 symbols a read; cross one read boundary
+    count = (1 << 14) + 100
+    got = list(itertools.islice(SequenceStream(rudin_shapiro, dq.SQUARE, 5), count))
+    assert got == dq.stream(rudin_shapiro, dq.SQUARE, 5, count).tolist()
+
+
+def test_block_ones_table_is_budget_checked(monkeypatch):
+    monkeypatch.setenv("DIGITSEQ_BUDGET", "512")
+    assert parse_preset("block-ones:9").table_size == 512
+    with pytest.raises(BudgetExceededError, match="block-ones:10 weight table needs 1024"):
+        parse_preset("block-ones:10")
 
 
 def test_stream_big_int_fallback():
