@@ -23,17 +23,18 @@ for normalized tables
 
 picks out exactly the windows anchored below position lam.
 
-Vectorized evaluation runs one block-table scan: the width-w table holds
+Vectorized evaluation runs one digit scan: the width-w block table holds
 the summed weight of w consecutive windows, so the scan advances w digits
-per lookup in a fixed number of rounds.  ``eval_b_many`` (b over int64
-arguments), ``eval_b_band_many`` (digit bands, behind the Fourier phase
-tables and the carry counts) and the int64 limbs that ``stream`` splits
-wider map values into all run on it.
+per lookup in a fixed number of rounds (or, in base 2, counts bits).
+``eval_b_many`` (b over int64 arguments), ``eval_b_band_many`` (digit
+bands, behind the Fourier phase tables and the carry counts) and the
+int64 limbs that ``stream`` splits wider map values into all run on it.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
@@ -84,7 +85,7 @@ class DigitalFunction:
             )
         if self.F[0] != 0:
             raise ValueError("all-zero window must have weight 0")
-        object.__setattr__(self, "F", tuple(int(v) for v in self.F))
+        object.__setattr__(self, "F", tuple(map(int, self.F)))
         # hashed once: cached tables are keyed by f, and F may have 2^19 entries
         object.__setattr__(self, "_hash",
                            hash((self.q, self.m, self.F, self.m_prime)))
@@ -100,6 +101,10 @@ class DigitalFunction:
     def is_normalized(self) -> bool:
         # normalize(f) == f iff G(n) = G(n // q) for all n iff G == G(0) = 0
         return self.m == 1 or normalize(self).F == self.F
+
+    @cached_property
+    def _max_weight(self) -> int:  # once per f, not per digit count
+        return max(map(abs, self.F))
 
     def __repr__(self):
         body = f"q={self.q}, m={self.m}, m_prime={self.m_prime}"
@@ -127,7 +132,7 @@ def make_digital_function(q: int, m: int, F, m_prime: int) -> DigitalFunction:
     introduce negative entries, which is fine internally.
     """
     f = DigitalFunction(q, m, tuple(F), m_prime)
-    if any(v < 0 for v in f.F):
+    if min(f.F) < 0:
         raise ValueError("weight table entries must be >= 0")
     return f
 
@@ -354,7 +359,7 @@ def _rem(x: np.ndarray, d: int, out=None) -> np.ndarray:
 def _acc_dtype(f: DigitalFunction, digits: int):
     """Narrowest signed dtype holding m' and any sum of `digits` weights;
     past int64 it raises OverflowError, so the vectorized paths never wrap."""
-    bound = max(digits * max(map(abs, f.F)), f.m_prime)
+    bound = max(digits * f._max_weight, f.m_prime)
     if bound > np.iinfo(np.int64).max:
         raise OverflowError(f"a sum of {digits} table weights or the modulus "
                             "could pass 2^63 - 1; the vectorized paths hold "
@@ -399,17 +404,73 @@ def _int64_array(ns) -> np.ndarray:
     return np.asarray(ns, dtype=np.int64)
 
 
+@lru_cache(maxsize=64)
+def _bit_terms(f: DigitalFunction):
+    """Nonzero Moebius coefficients of a base-2 table, ([S], [a_S] as int64
+    mod 2^64): F[w] is the sum of a_S over the S within the bits of w.  None
+    past 210 terms: 3 x (2 passes or more a term) > 5 x (63 digits x 4)."""
+    _acc_dtype(f, 1)  # raises before a weight past int64 meets np.array
+    a = np.array(f.F, dtype=np.int64)
+    for i in range(f.m):  # a[w | 2^i] -= a[w] for w without bit i
+        pairs = a.reshape(-1, 2, 1 << i)
+        pairs[:, 1] -= pairs[:, 0]
+    S = np.flatnonzero(a)
+    return None if S.size > 210 else (S.tolist(), a[S])
+
+
+@lru_cache(maxsize=256)
+def _bit_plan(g: DigitalFunction, digits: int):
+    """Terms (runs of S, mask, a_S) of a `digits`-digit popcount scan of g,
+    or None (always for q > 2) where the block scan costs less.  a_S wraps
+    into `_acc_dtype(g, digits)`, exact as the scan's sum fits there."""
+    found = g.q == 2 and _bit_terms(g)
+    if not found:
+        return None
+    plan, passes = [], 0
+    for S, coef in zip(found[0], found[1].astype(_acc_dtype(g, digits))):
+        runs = tuple((r.start(), len(r[0])) for r in re.finditer("1+", bin(S)[:1:-1]))
+        # x < 2^(digits+m-1): an AND with bit m - 1 of S is 0 from `digits` up
+        masked = S < 1 << (g.m - 1) and digits + S.bit_length() <= 63
+        plan.append((runs, (1 << digits) - 1 if masked else None, coef))
+        # a run: its shift, 2 a doubling step, the AND joining it (or the
+        # popcount); then the add, the mask and the multiply
+        passes += sum((start > 0) + 2 * (length - 1).bit_length() + 1
+                      for start, length in runs) + 1 + masked + (coef != 1)
+    width = _block_width(g)  # a block round: remainder, gather, add, shift
+    blocks = 4 * (digits // width) + 2 * (digits % width > 0)
+    # a block pass, gathers among them, takes 5/3 of a bit pass (timed)
+    return tuple(plan) if 3 * passes <= 5 * blocks else None
+
+
+def _round_digits(g: DigitalFunction, top: int) -> int:
+    """The most digits up to `top` that `_scan` of g takes in whole rounds."""
+    width = top if g.q == 2 and _bit_plan(g, top) is not None else _block_width(g)
+    return width * (top // width)
+
+
 def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
     """sum_{j < digits} F[(x // q^j) mod q^m] for int64 x < q^(digits+m-1).
 
-    Advances `_block_width(g)` digits per block-table lookup and takes the
-    last digits mod width in one lookup of the narrower table, so the
-    round count is fixed.  Gathers go into buffers made once per call;
-    the sum stays in `_acc_dtype(g, digits)`.  x is overwritten.
+    Where `_bit_plan` serves g, sum_S a_S popcount(AND_{i in S} (x >> i)
+    mod 2^digits); else `_block_width(g)` digits per block-table lookup and
+    the last digits mod width in one lookup of the narrower table, so the
+    round count is fixed.  Gathers go into buffers made once per call; the
+    sum stays in `_acc_dtype(g, digits)`.  x may be overwritten.
     """
-    q = g.q
     out = np.zeros(x.shape, dtype=_acc_dtype(g, digits))
-    width = _block_width(g)
+    plan = _bit_plan(g, digits)
+    if plan is not None:
+        for runs, mask, coef in plan:
+            y = None
+            for start, length in runs:
+                r, k = (x >> start if start else x), 1
+                while k < length:  # bit j of r: bits j..j+k-1 of x >> start
+                    r, k = r & (r >> min(k, length - k)), min(2 * k, length)
+                y = r if y is None else y & r
+            count = np.bitwise_count(y if mask is None else y & mask)
+            out += count if coef == 1 else np.multiply(count, coef, dtype=out.dtype)
+        return out
+    q, width = g.q, _block_width(g)
     full, rest = divmod(digits, width)
     if full:
         table = _block_table(g, width)

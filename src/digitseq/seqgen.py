@@ -1,7 +1,7 @@
 """Digit sequences modulo m' along identity, progressions and squares.
 
 The named presets cover the classical block-additive functions; streams
-evaluate b(map(t)) mod m' term by term with a block-table digit scan, so
+evaluate b(map(t)) mod m' term by term with the vectorized digit scan, so
 producing n symbols costs O(n log n) digit operations.  Emission is a
 pure function of the index, which makes chunked, repeated and
 range-partitioned reads all agree bit for bit.
@@ -22,9 +22,9 @@ from .digital import (
     DigitalFunction,
     MAX_ARG_BITS,
     _acc_dtype,
-    _block_width,
     _ilog_floor,
     _rem,
+    _round_digits,
     _scan,
     make_digital_function,
     normalize,
@@ -178,9 +178,8 @@ def _map_range_check(index_map: IndexMap, start: int, count: int) -> None:
 
 
 def _limb_digits(f: DigitalFunction) -> int:
-    """L: the largest multiple of the block width with q^L <= 2^34."""
-    width = _block_width(f)
-    return width * (_ilog_floor(f.q, _LIMB_BASE_LIMIT) // width)
+    """L: the largest with q^L <= 2^34 that f's scan takes in whole rounds."""
+    return _round_digits(f, _ilog_floor(f.q, _LIMB_BASE_LIMIT))
 
 
 def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
@@ -235,7 +234,8 @@ def _emit_chunk(f: DigitalFunction, index_map: IndexMap, start: int,
             x *= f.q ** (f.m - 1)
         b = _scan(f, x, _ilog_floor(f.q, top) + 1)  # b(x // q^(m-1))
     else:  # normalizing leaves b as is
-        b = _emit_wide(normalize(f), _limb_digits(f), index_map, start, count)
+        g = normalize(f)
+        b = _emit_wide(g, _limb_digits(g), index_map, start, count)
     return _rem(b, f.m_prime, out=b)
 
 
@@ -250,7 +250,7 @@ def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
     threshold, so repeated calls reuse their pages instead of faulting
     in about 3,000 fresh ones each.  A chunk whose
     map values outgrow int64 is evaluated exactly on int64 limbs with
-    the same block tables, so throughput also holds past 2^62.
+    the same digit scan, so throughput also holds past 2^62.
     threads > 1 fans chunks out to a thread pool of at most
     os.cpu_count() workers; the ordered merge keeps output independent
     of partitioning.

@@ -522,11 +522,12 @@ def test_vectorized_paths_refuse_sums_past_int64():
 
 
 def test_wide_stream_counts_every_limb():
-    # limbs of 18 binary digits: one limb's sum of 2^57 weights fits int64,
-    # the six limbs of 2^100 - 1 could pass it (b = 100 * 2^57 would wrap)
+    # limbs of 34 binary digits (the popcount scan's): one limb's sum of
+    # 2^57 weights fits int64, the three limbs of 2^100 - 1 could pass it
+    # (b = 100 * 2^57 would wrap)
     n = 2 ** 100 - 1
     big = dq.make_digital_function(2, 1, [0, 2 ** 57], 3)
-    with pytest.raises(OverflowError, match="a sum of 108 table weights"):
+    with pytest.raises(OverflowError, match="a sum of 102 table weights"):
         dq.stream(big, dq.IDENTITY, n, 1)
     fits = dq.make_digital_function(2, 1, [0, 2 ** 56], 3)
     assert dq.stream(fits, dq.IDENTITY, n - 2, 3).tolist() == \
@@ -547,11 +548,15 @@ def test_weights_past_int64_raise_before_conversion():
 
 
 def test_integer_log_gives_the_loop_widths():
+    popcount_limbs = []
     for q in range(2, 40):
         assert [_ilog_floor(q, x) for x in range(1, 200)] == \
             [max(t for t in range(10) if q ** t <= x) for x in range(1, 200)]
         for m in range(1, 7):
-            f = SimpleNamespace(q=q, m=m)  # the widths read only q and m
+            # the widths read only q and m; base-2 limbs also read F, so q = 2
+            # takes a dense table: x0 or .. or x(m-1), 2^m - 1 Moebius terms
+            f = SimpleNamespace(q=q, m=m) if q > 2 else \
+                dq.make_digital_function(2, m, [0] + [1] * (2 ** m - 1), 2)
             width = 0
             while q ** (width + m) <= 1 << 18:
                 width += 1
@@ -559,7 +564,147 @@ def test_integer_log_gives_the_loop_widths():
             limb = 0
             while q ** (limb + _block_width(f)) <= 1 << 34:
                 limb += _block_width(f)
+            if q == 2 and dq.digital._bit_plan(f, 34) is not None:
+                popcount_limbs.append(m)
+                limb = 34
             assert dq.seqgen._limb_digits(f) == limb
+    assert popcount_limbs == [1, 2]
+
+
+# ----------------------------------------------------------------------
+# the base-2 popcount scan
+
+
+def reference_moebius(F, m):
+    """a_S = sum over T within S of (-1)^|S - T| F[T], one S at a time."""
+    return [sum((-1) ** bin(S ^ T).count("1") * F[T]
+                for T in range(1 << m) if T & ~S == 0) for S in range(1 << m)]
+
+
+def sparse_table(rng, m, terms):
+    """F[w] = sum of c_k over the k with S_k within the bits of w."""
+    F = [0] * (1 << m)
+    for _ in range(terms):
+        S, c = int(rng.integers(1, 1 << m)), int(rng.integers(1, 6))
+        for w in range(1 << m):
+            F[w] += c * (w & S == S)
+    return F
+
+
+def bit_path(g, digits):
+    return dq.digital._bit_plan(g, digits) is not None
+
+
+def base2_tables(rng):
+    """Seeded base-2 tables with m <= 4: sparse and dense, raw and normalized."""
+    out = []
+    for m in range(1, 5):
+        for _ in range(4):
+            out.append(sparse_table(rng, m, int(rng.integers(1, 3))))
+            out.append([0] + [int(v) for v in rng.integers(0, 6, (1 << m) - 1)])
+    fs = [dq.make_digital_function(2, len(F).bit_length() - 1, F, 5) for F in out]
+    return fs + [dq.normalize(f) for f in fs]
+
+
+def test_bit_terms_are_the_moebius_coefficients(rng):
+    for f in base2_tables(rng):
+        sets, a = dq.digital._bit_terms(f)
+        got = [0] * (1 << f.m)
+        for S, coef in zip(sets, a.tolist()):
+            got[S] = coef
+        assert got == reference_moebius(f.F, f.m)
+        plan = dq.digital._bit_plan(f, 62)
+        for S, (runs, _, _) in zip(sets, plan or ()):
+            assert sum(((1 << length) - 1) << start for start, length in runs) == S
+            # maximal: each run starts above a clear bit and ends below one
+            assert all(start == 0 or not S >> (start - 1) & 1 for start, _ in runs)
+            assert all(not S >> (start + length) & 1 for start, length in runs)
+
+
+def test_bit_scan_selection(monkeypatch):
+    tm, rs = dq.preset("thue-morse"), dq.preset("rudin-shapiro")
+    dense = dq.make_digital_function(2, 4, [0] + [1] * 15, 5)  # x0 or .. or x3
+    b7, b19 = dq.parse_preset("block-ones:7"), dq.parse_preset("block-ones:19")
+    ten = dq.parse_preset("digit-sum:10,7")
+    bits = {tm: range(1, 64), rs: range(17, 64), b7: range(13, 64),
+            b19: range(2, 64), dense: (), ten: ()}
+    for g, want in bits.items():
+        assert [d for d in range(1, 64) if bit_path(g, d)] == list(want), g
+    assert len(dq.digital._bit_terms(dense)[0]) == 15
+    # the bit path never reads a block table, the block path always does
+    args = np.array([0, 5, 2 ** 20 - 1, 2 ** 40 + 12345], dtype=np.int64)
+    ref = {g: [dq.eval_b(g, int(n)) for n in args] for g in (tm, rs, dense)}
+
+    def refuse(*_):
+        raise AssertionError("block table read")
+
+    monkeypatch.setattr(dq.digital, "_block_table", refuse)
+    for g in (tm, rs):  # 42 digits
+        assert dq.eval_b_many(g, args).tolist() == ref[g]
+    with pytest.raises(AssertionError, match="block table read"):
+        dq.eval_b_many(dense, args)
+    with pytest.raises(AssertionError, match="block table read"):
+        dq.eval_b_many(rs, args[:2])  # 4 digits: one lookup
+    monkeypatch.undo()
+    assert dq.eval_b_many(dense, args).tolist() == ref[dense]
+
+
+def test_bit_scan_matches_scalar(rng):
+    paths = set()
+    for f in base2_tables(rng):
+        for bits in (3, 16, 20, 40, 62 - f.m):
+            ns = rng.integers(0, 1 << bits, 40, dtype=np.int64, endpoint=True)
+            ns[0] = (1 << bits) - 1
+            digits = ((int(ns.max()) << (f.m - 1)).bit_length())
+            paths.add(bit_path(f, digits))
+            assert dq.eval_b_many(f, ns).tolist() == [dq.eval_b(f, int(n)) for n in ns]
+        if not f.is_normalized:
+            continue
+        # bands of 63 digits and more skip the mask
+        for mu, lam in [(0, 17), (3, 40), (0, 62), (0, 63), (1, 70), (20, 90)]:
+            paths.add(bit_path(f, lam - mu))
+            xs = rng.integers(0, 2 ** 63 - 1, 60, dtype=np.int64, endpoint=True)
+            xs[0] = 2 ** 63 - 1
+            win = dq.TruncationWindow(mu, lam)
+            assert eval_b_band_many(f, xs, mu, lam).tolist() == \
+                [dq.eval_b_window(f, int(x), win) for x in xs], (f, mu, lam)
+    assert paths == {False, True}
+
+
+@pytest.mark.parametrize("name", ["thue-morse", "rudin-shapiro", "block-ones:2",
+                                  "block-ones:3", "block-ones:7", "block-ones:19",
+                                  "sparse"])
+def test_bit_scan_streams(name):
+    f = dq.make_digital_function(2, 3, sparse_table(np.random.default_rng(7), 3, 2), 3) \
+        if name == "sparse" else dq.parse_preset(name)
+    starts = [(dq.SQUARE, 0), (dq.SQUARE, 3 * 10 ** 6), (dq.SQUARE, 2 ** 31 - 150),
+              (dq.SQUARE, 2 ** 40), (dq.SQUARE, 2 ** 62), (dq.IDENTITY, 2 ** 100 - 150)]
+    for index_map, start in starts:
+        want = [dq.eval_b(f, index_map(t)) % f.m_prime for t in range(start, start + 300)]
+        for chunk, threads in ((1 << 16, 1), (64, 2)):
+            got = dq.stream(f, index_map, start, 300, chunk=chunk, threads=threads)
+            assert got.tolist() == want, (index_map, start, chunk)
+
+
+def test_bit_scan_limbs():
+    # the tables the wide stream scans; dense tables: the integer-log test
+    for name in ("thue-morse", "rudin-shapiro", "block-ones:3", "block-ones:19"):
+        assert dq.seqgen._limb_digits(dq.normalize(dq.parse_preset(name))) == 34, name
+
+
+def test_bit_scan_wraps_in_the_accumulator_ring():
+    # F = c (x0 xor x1) = c x0 + c x1 - 2c x0 x1: b counts bit changes.  At
+    # 52 digits the sum fits int16, but the partial sums after the first
+    # two terms reach 104 c > 2^15 and the third term's product wraps too
+    c = (2 ** 15 - 1) // 52
+    f = dq.make_digital_function(2, 2, [0, c, c, 0], 3)
+    assert _acc_dtype(f, 52) == np.int16 and bit_path(f, 52)
+    ns = np.array([2 ** 51 - 1, 2 ** 51 - 2, 0x5555555555555, 0x2AAAAAAAAAAAA,
+                   3 << 49, 1], dtype=np.int64)
+    assert dq.eval_b_many(f, ns).tolist() == [dq.eval_b(f, int(n)) for n in ns]
+    assert dq.eval_b(f, 0x5555555555555) == 52 * c
+    assert dq.stream(f, dq.IDENTITY, 2 ** 51 - 40, 40).tolist() == \
+        [dq.eval_b(f, t) % 3 for t in range(2 ** 51 - 40, 2 ** 51)]
 
 
 # ----------------------------------------------------------------------
