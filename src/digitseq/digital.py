@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
@@ -125,6 +126,15 @@ class TruncationWindow:
             raise ValueError(f"need 0 <= mu <= lam, got ({self.mu}, {self.lam})")
 
 
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _intern(f: DigitalFunction) -> DigitalFunction:
+    """The live function equal to f, else f: equal functions are one object,
+    so a cache keyed by f finds its entry by identity, not by comparing F."""
+    return _INTERNED.setdefault((f.q, f.m, f.F, f.m_prime), f)
+
+
 def make_digital_function(q: int, m: int, F, m_prime: int) -> DigitalFunction:
     """Validate and build a digital function from a raw weight table.
 
@@ -134,7 +144,7 @@ def make_digital_function(q: int, m: int, F, m_prime: int) -> DigitalFunction:
     f = DigitalFunction(q, m, tuple(F), m_prime)
     if min(f.F) < 0:
         raise ValueError("weight table entries must be >= 0")
-    return f
+    return _intern(f)
 
 
 def normalize(f: DigitalFunction) -> DigitalFunction:
@@ -156,7 +166,7 @@ def _normalized(f: DigitalFunction) -> DigitalFunction:
     r = np.arange(q ** (m - 1))
     G = sum(F[_rem(r * q ** j, size)] for j in range(1, m))
     newF = F + np.tile(G, q) - np.repeat(G, q)
-    return DigitalFunction(q, m, newF.tolist(), f.m_prime)
+    return _intern(DigitalFunction(q, m, newF.tolist(), f.m_prime))
 
 
 def _check_arg(n: int) -> None:
@@ -385,9 +395,9 @@ def _block_table(f: DigitalFunction, width: int):
 
 def _ilog_floor(q: int, x: int) -> int:
     """Largest t >= 0 with q^t <= x (x >= 1); 0 for x < q."""
-    t = 0
-    while q ** (t + 1) <= x:
-        t += 1
+    t, power = 0, q
+    while power <= x:
+        t, power = t + 1, power * q
     return t
 
 

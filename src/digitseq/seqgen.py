@@ -13,6 +13,7 @@ import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,14 +31,21 @@ from .digital import (
     normalize,
 )
 
-# Wide map values are split into limbs n = sum_k c_k B^k with B = q^L.
-# Over a span of i < 2^15 symbols from s, limb k of n(s + i) before carries
-# is n0_k + d1_k i + d2_k i(i-1)/2, where n0, d1, d2 are n(s) and its first
-# and second differences written in base B, so it is at most
-# (B - 1)(1 + i + i(i-1)/2) < (B - 1) 2^29.  Carries stay below 2^29 as
-# well, so with B <= 2^34 every limb sum stays below 2^63.
+# Wide map values are split into limbs of B = q^L <= 2^46 over spans of at
+# most 2^15 symbols; docs/DECISIONS.md, section 6, bounds every sum.
 _WIDE_SPAN = 1 << 15
-_LIMB_BASE_LIMIT = 1 << 34
+_LIMB_BASE_LIMIT = 1 << 46
+
+
+@lru_cache(maxsize=1)
+def _span_terms():
+    """i and i(i-1)/2 for i < 2^15, built in place on first use: built at import
+    or from temporaries, they raised peak RSS (glibc's mmap threshold)."""
+    i = np.arange(_WIDE_SPAN, dtype=np.int64)
+    tri = np.arange(-1, _WIDE_SPAN - 1, dtype=np.int64)
+    tri *= i
+    tri >>= 1
+    return i, tri
 
 
 def digits(n: int, q: int) -> list:
@@ -178,65 +186,88 @@ def _map_range_check(index_map: IndexMap, start: int, count: int) -> None:
 
 
 def _limb_digits(f: DigitalFunction) -> int:
-    """L: the largest with q^L <= 2^34 that f's scan takes in whole rounds."""
-    return _round_digits(f, _ilog_floor(f.q, _LIMB_BASE_LIMIT))
+    """L: the most digits with q^L <= 2^46 and q^(L+m-1) <= 2^62 that
+    f's scan takes in whole rounds."""
+    return _round_digits(f, min(_ilog_floor(f.q, _LIMB_BASE_LIMIT),
+                                _ilog_floor(f.q, _VECTOR_ARG_LIMIT) - f.m + 1))
 
 
 def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
                start: int, count: int) -> np.ndarray:
     """b(map(t)) for t in [start, start+count) through int64 limbs.
 
-    g is normalized, so b(n) = sum_k b_L(c_k + (c_{k+1} mod q^(m-1)) B)
-    for the base-B limbs c_k of n: the split recursion at every limb
-    boundary.  The maps are polynomials of degree at most 2 with
-    nonnegative differences, so limbs come from n(s), d1 and d2 alone.
+    g is normalized, so b(n) = b(n // B^V) + sum_{k<V} b_L(c_k +
+    (c_{k+1} mod q^(m-1)) B) for the base-B limbs c_k of n: the split
+    recursion at every limb boundary.  Over a span of c symbols the map is
+    n0 + d1 i + d2 i(i-1)/2 with nonnegative d1, d2, and n // B^V = H0 + j
+    with j <= J <= c, so only limbs 0..V-1 vary; b(H0 + j) is read once.
     """
-    base, low = g.q ** limb_digits, g.q ** (g.m - 1)
-    # the int64 total sums limb_digits weights from each limb of the top value
-    _acc_dtype(g, limb_digits * (_ilog_floor(base, index_map(start + count - 1)) + 1))
-    i = np.arange(min(count, _WIDE_SPAN), dtype=np.int64)
-    tri = i * (i - 1) // 2
+    q, base, low = g.q, g.q ** limb_digits, g.q ** (g.m - 1)
+    # every partial sum adds weights of windows below the top value's digits
+    _acc_dtype(g, _ilog_floor(q, index_map(start + count - 1)) + 1)
+    d2 = index_map(start + 2) - 2 * index_map(start + 1) + index_map(start)
+    D2, span = max(digits(d2, base)), _WIDE_SPAN
+    while (base - 1) * span + D2 * span * (span - 1) // 2 > 1 << 62:
+        span //= 2
+    shift = limb_digits * (q.bit_length() - 1) if q & (q - 1) == 0 else 0
+    i, tri = _span_terms()
     out = np.empty(count, dtype=np.int64)
-    for s in range(start, start + count, _WIDE_SPAN):
-        c = min(_WIDE_SPAN, start + count - s)
-        n0, n1, n2 = index_map(s), index_map(s + 1), index_map(s + 2)
-        coeffs = [n0, n1 - n0, n2 - 2 * n1 + n0]
-        top = index_map(s + c - 1)
-        limbs, carry = [], 0
-        while top:
-            top //= base
-            k0, k1, k2 = (v % base for v in coeffs)
+    for s in range(start, start + count, span):
+        c = min(span, start + count - s)
+        n0 = index_map(s)
+        off = index_map(s + c - 1) - n0
+        V, size = 1, base
+        while (n0 % size + off) // size > c:
+            V, size = V + 1, size * base
+        # the top limb keeps h = H0 mod q^(m-1), the digits its windows read
+        high, rest = divmod(n0, size * low)
+        h, J = rest // size, (rest % size + off) // size
+        # terms that vanish on the span are dropped, so each one left is at
+        # most off, and the top limb takes all that is left of them
+        coeffs = (rest, index_map(s + 1) - n0 if c > 1 else 0, d2 if c > 2 else 0)
+        limbs, carry = [], None
+        for k in range(V):
+            k0, k1, k2 = coeffs if k == V - 1 else (v % base for v in coeffs)
             coeffs = [v // base for v in coeffs]
-            v = i[:c] * k1
+            v = i[:c] * k1 if k1 else np.zeros(c, dtype=np.int64)
             if k2:
                 v += tri[:c] * k2
-            v += carry
-            v += k0
-            carry = v // base
-            limbs.append(_rem(v, base, out=v))
-        total = np.zeros(c, dtype=np.int64)
+            v += k0 if carry is None else np.add(carry, k0, out=carry)
+            mod = base if k < V - 1 else low * base
+            if k == V - 1 and J == 0:  # v < (h + 1) B <= mod: no carry
+                pass
+            elif shift:
+                carry = v >> shift
+                v &= mod - 1
+            else:
+                carry = v // base
+                v -= carry * base if mod == base else carry // low * mod
+            limbs.append(v)
+        total = out[s - start:s - start + c]
+        b_high = _emit_b(g, IDENTITY, high * low + h, J + 1).astype(np.int64, copy=False)
+        if J:  # 0 <= j <= J, so "clip" only skips the buffered bounds check
+            np.take(b_high, np.subtract(carry, h, out=carry), out=total, mode="clip")
+        else:
+            total[:] = b_high[0]
         for k, x in enumerate(limbs):
-            if low > 1 and k + 1 < len(limbs):
+            if k < V - 1 and low > 1:
                 x += _rem(limbs[k + 1], low) * base
             total += _scan(g, x, limb_digits)
-        out[s - start:s - start + c] = total
     return out
 
 
-def _emit_chunk(f: DigitalFunction, index_map: IndexMap, start: int,
-                count: int) -> np.ndarray:
-    """b(map(t)) mod m' for t in [start, start+count), in the scan's
-    accumulator dtype below 2^62 (it holds m') and int64 beyond."""
+def _emit_b(f: DigitalFunction, index_map: IndexMap, start: int,
+            count: int) -> np.ndarray:
+    """b(map(t)) for t in [start, start+count), in the scan's accumulator
+    dtype below 2^62 (it holds m') and int64 beyond."""
     top = index_map(start + count - 1) * f.q ** (f.m - 1)
     if top < _VECTOR_ARG_LIMIT:
         x = index_map(np.arange(start, start + count, dtype=np.int64))
         if f.m > 1:
             x *= f.q ** (f.m - 1)
-        b = _scan(f, x, _ilog_floor(f.q, top) + 1)  # b(x // q^(m-1))
-    else:  # normalizing leaves b as is
-        g = normalize(f)
-        b = _emit_wide(g, _limb_digits(g), index_map, start, count)
-    return _rem(b, f.m_prime, out=b)
+        return _scan(f, x, _ilog_floor(f.q, top) + 1)  # b(x // q^(m-1))
+    g = normalize(f)  # normalizing leaves b as is
+    return _emit_wide(g, _limb_digits(g), index_map, start, count)
 
 
 def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
@@ -271,7 +302,8 @@ def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
 
     def fill(span):
         s, c = span
-        out[s - start:s - start + c] = _emit_chunk(f, index_map, s, c)
+        b = _emit_b(f, index_map, s, c)
+        out[s - start:s - start + c] = _rem(b, f.m_prime, out=b)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

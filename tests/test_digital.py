@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +68,31 @@ def test_make_rejects_bad_tables():
         dq.make_digital_function(1, 1, [0], 2)        # base too small
     with pytest.raises(ValueError):
         dq.make_digital_function(2, 1, [0, -1], 2)    # negative entry
+
+
+def test_equal_functions_are_one_object():
+    # constructors intern by (q, m, F, m'), so a freshly parsed function
+    # finds the caches an equal one filled by identity, not by comparing F
+    a, b = dq.parse_preset("block-ones:19"), dq.parse_preset("block-ones:19")
+    assert a is b
+    plain = DigitalFunction(a.q, a.m, a.F, a.m_prime)  # built without interning
+    assert plain is not a and plain == a and hash(plain) == hash(a)
+    rs = dq.parse_preset("rudin-shapiro")
+    assert dq.normalize(rs) is rs
+    # a normalized table with a negative weight is still no user table
+    g = dq.normalize(dq.make_digital_function(2, 3, [0, 0, 1, 0, 0, 0, 0, 0], 7))
+    with pytest.raises(ValueError, match=">= 0"):
+        dq.make_digital_function(2, 3, g.F, 7)
+
+    def seconds(f):
+        t0 = time.perf_counter()
+        dq.stream(f, dq.SQUARE, 0, 1 << 20)
+        return time.perf_counter() - t0
+
+    seconds(a)
+    first = min(seconds(a) for _ in range(3))
+    again = min(seconds(dq.parse_preset("block-ones:19")) for _ in range(3))
+    assert again <= 1.5 * first, (again, first)
 
 
 def test_presets_match_expected_tables(thue_morse, rudin_shapiro):
@@ -522,12 +548,12 @@ def test_vectorized_paths_refuse_sums_past_int64():
 
 
 def test_wide_stream_counts_every_limb():
-    # limbs of 34 binary digits (the popcount scan's): one limb's sum of
-    # 2^57 weights fits int64, the three limbs of 2^100 - 1 could pass it
-    # (b = 100 * 2^57 would wrap)
+    # limbs of 46 binary digits: one limb's sum of 2^57 weights fits int64,
+    # but the 100 digits of 2^100 - 1 that the stream's sums cover could
+    # pass it (b = 100 * 2^57 would wrap), while 100 weights of 2^56 fit
     n = 2 ** 100 - 1
     big = dq.make_digital_function(2, 1, [0, 2 ** 57], 3)
-    with pytest.raises(OverflowError, match="a sum of 102 table weights"):
+    with pytest.raises(OverflowError, match="a sum of 100 table weights"):
         dq.stream(big, dq.IDENTITY, n, 1)
     fits = dq.make_digital_function(2, 1, [0, 2 ** 56], 3)
     assert dq.stream(fits, dq.IDENTITY, n - 2, 3).tolist() == \
@@ -561,12 +587,17 @@ def test_integer_log_gives_the_loop_widths():
             while q ** (width + m) <= 1 << 18:
                 width += 1
             assert _block_width(f) == max(width, 1)
+
+            def fits(L):  # B = q^L <= 2^46, a scan argument q^(L+m-1) <= 2^62
+                return q ** L <= 1 << 46 and q ** (L + m - 1) <= 1 << 62
+
             limb = 0
-            while q ** (limb + _block_width(f)) <= 1 << 34:
+            while fits(limb + _block_width(f)):
                 limb += _block_width(f)
-            if q == 2 and dq.digital._bit_plan(f, 34) is not None:
+            top = max(t for t in range(64) if fits(t))
+            if q == 2 and dq.digital._bit_plan(f, top) is not None:
                 popcount_limbs.append(m)
-                limb = 34
+                limb = top
             assert dq.seqgen._limb_digits(f) == limb
     assert popcount_limbs == [1, 2]
 
@@ -688,8 +719,10 @@ def test_bit_scan_streams(name):
 
 def test_bit_scan_limbs():
     # the tables the wide stream scans; dense tables: the integer-log test
-    for name in ("thue-morse", "rudin-shapiro", "block-ones:3", "block-ones:19"):
-        assert dq.seqgen._limb_digits(dq.normalize(dq.parse_preset(name))) == 34, name
+    # 46 digits, or fewer where the scan argument would pass 2^62: 2^(44+18)
+    for name, limb in (("thue-morse", 46), ("rudin-shapiro", 46),
+                       ("block-ones:3", 46), ("block-ones:19", 44)):
+        assert dq.seqgen._limb_digits(dq.normalize(dq.parse_preset(name))) == limb, name
 
 
 def test_bit_scan_wraps_in_the_accumulator_ring():

@@ -309,6 +309,91 @@ def test_wide_limbs_hold_the_overflow_bound(name):
         [dq.eval_b(f, steep(start + p)) for p in checked]
 
 
+# the varying-limb path: limbs 0..V-1 are built, n // B^V = H0 + j is read
+# from a table of b(H0 + j), j <= J, and the top limb keeps H0 mod q^(m-1)
+VARYING = {name: parse_preset(name) for name in
+           ("rudin-shapiro", "block-ones:19", "digit-sum:3,3")}
+VARYING["base-3-pairs"] = dq.make_digital_function(3, 2, [0, 1, 0, 2, 0, 1, 1, 0, 2], 5)
+
+
+def _limb_base(f):
+    return f.q ** seqgen._limb_digits(dq.normalize(f))
+
+
+def _varying_limbs(index_map, start, count, base):
+    """(V, H0, J) of a one-span call: the fewest limbs whose carry is <= count."""
+    n0, off = index_map(start), index_map(start + count - 1) - index_map(start)
+    V = 1
+    while (n0 % base ** V + off) // base ** V > count:
+        V += 1
+    return V, n0 // base ** V, (n0 % base ** V + off) // base ** V
+
+
+def _check_varying(f, index_map, start, count=2000):
+    want = _scalar(f, index_map, range(start, start + count))
+    for chunk, threads in ((1 << 16, 1), (777, 2)):
+        got = dq.stream(f, index_map, start, count, chunk=chunk, threads=threads)
+        assert got.tolist() == want, (chunk, threads)
+
+
+@pytest.mark.parametrize("name", VARYING)
+def test_wide_carry_crosses_a_digit_boundary_of_the_high_part(name):
+    # H0 ends in m - 1 digits q - 1, so H0 + 1 changes every digit the top
+    # limb's windows read; base 3 carries by division
+    f = VARYING[name]
+    base, low = _limb_base(f), f.q ** (f.m - 1)
+    high = (2 ** 70 // low) * low + low - 1
+    start = high * base + base - 1000
+    assert _varying_limbs(dq.IDENTITY, start, 2000, base) == (1, high, 1)
+    assert (high + 1) % low == 0
+    _check_varying(f, dq.IDENTITY, start)
+
+
+@pytest.mark.parametrize("name", VARYING)
+@pytest.mark.parametrize("case", ["no-carry", "high-past-2^62", "several-limbs"])
+def test_wide_varying_limbs_match_scalar(name, case):
+    f = VARYING[name]
+    base = _limb_base(f)
+    index_map, start = {"no-carry": (dq.IDENTITY, (2 ** 80 // base) * base + 5),
+                        "high-past-2^62": (dq.IDENTITY, TOP - 2000),
+                        "several-limbs": (dq.SQUARE, 2 ** 63 - 2000)}[case]
+    V, high, J = _varying_limbs(index_map, start, 2000, base)
+    assert {"no-carry": J == 0 and V == 1,
+            # b(H0 + j) then takes the wide path itself
+            "high-past-2^62": high * f.q ** (f.m - 1) >= 1 << 62,
+            # V = 2; 3 for the 20-digit limbs of base-3-pairs
+            "several-limbs": V == 2 + (base < 2 ** 32)}[case], (V, high, J)
+    _check_varying(f, index_map, start)
+
+
+def test_wide_spans_of_one_and_two_symbols():
+    # a one-symbol span drops d1 = 2t + 1, here past 2^63, and a two-symbol
+    # span drops d2: terms that vanish on the span never reach int64
+    f = VARYING["rudin-shapiro"]
+    start = 2 ** 63 - 5
+    want = _scalar(f, dq.SQUARE, range(start, start + 5))
+    for chunk in (1, 2):
+        assert dq.stream(f, dq.SQUARE, start, 5, chunk=chunk).tolist() == want
+
+
+def test_wide_steep_map_takes_short_spans():
+    # d2 = B^2 - 1 has the base-B digits B - 1, so only 256-symbol spans keep
+    # (B - 1) c + (B - 1) c(c - 1)/2 <= 2^62; check every value across them
+    f = parse_preset("rudin-shapiro")
+    limb = seqgen._limb_digits(f)
+    base, c = f.q ** limb, (f.q ** (2 * limb) - 1) // 2
+    span = max(s for s in (2 ** e for e in range(16))
+               if (base - 1) * s + (base - 1) * s * (s - 1) // 2 <= 1 << 62)
+    assert span == 256
+
+    def steep(t):
+        return c * t * t
+
+    start = math.isqrt((TOP - 1) // c) - 3 * span - 100
+    got = seqgen._emit_wide(dq.normalize(f), limb, steep, start, 3 * span + 100)
+    assert got.tolist() == [dq.eval_b(f, steep(t)) for t in range(start, start + 3 * span + 100)]
+
+
 @pytest.mark.parametrize("name", ["ones", "negative"])
 @pytest.mark.parametrize("limit,narrow,wider", LIMITS)
 @pytest.mark.parametrize("above", [False, True])
@@ -322,7 +407,8 @@ def test_stream_at_accumulator_limits(name, limit, narrow, wider, above, wide):
         if wide else 62
     f, scanned = limit_function(unit, limit, above, digits, wide)
     assert _acc_dtype(scanned, digits) == (wider if above else narrow)
-    bits = 3 * digits if wide else 62 - (m - 1)
+    # wide: the top values cross two limb boundaries and stay in range
+    bits = min(3 * digits, seqgen.MAX_ARG_BITS) if wide else 62 - (m - 1)
     for end in (1 << bits, (1 << bits) // 3 + 40):  # ones, then 0101...
         got = dq.stream(f, dq.IDENTITY, end - 40, 40)
         assert got.dtype == np.int64
