@@ -229,14 +229,12 @@ def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
         for k in range(V):
             k0, k1, k2 = coeffs if k == V - 1 else (v % base for v in coeffs)
             coeffs = [v // base for v in coeffs]
-            v = i[:c] * k1 if k1 else np.zeros(c, dtype=np.int64)
+            v = i[:c] * k1
             if k2:
                 v += tri[:c] * k2
             v += k0 if carry is None else np.add(carry, k0, out=carry)
             mod = base if k < V - 1 else low * base
-            if k == V - 1 and J == 0:  # v < (h + 1) B <= mod: no carry
-                pass
-            elif shift:
+            if shift:
                 carry = v >> shift
                 v &= mod - 1
             else:
@@ -245,10 +243,8 @@ def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
             limbs.append(v)
         total = out[s - start:s - start + c]
         b_high = _emit_b(g, IDENTITY, high * low + h, J + 1).astype(np.int64, copy=False)
-        if J:  # 0 <= j <= J, so "clip" only skips the buffered bounds check
-            np.take(b_high, np.subtract(carry, h, out=carry), out=total, mode="clip")
-        else:
-            total[:] = b_high[0]
+        # 0 <= j <= J, so "clip" only skips the buffered bounds check
+        np.take(b_high, np.subtract(carry, h, out=carry), out=total, mode="clip")
         for k, x in enumerate(limbs):
             if k < V - 1 and low > 1:
                 x += _rem(limbs[k + 1], low) * base

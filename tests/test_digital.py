@@ -90,9 +90,10 @@ def test_equal_functions_are_one_object():
         return time.perf_counter() - t0
 
     seconds(a)
-    first = min(seconds(a) for _ in range(3))
-    again = min(seconds(dq.parse_preset("block-ones:19")) for _ in range(3))
-    assert again <= 1.5 * first, (again, first)
+    # alternating repeats put load from other processes on both sides
+    first, again = zip(*((seconds(a), seconds(dq.parse_preset("block-ones:19")))
+                         for _ in range(3)))
+    assert min(again) <= 1.5 * min(first), (again, first)
 
 
 def test_presets_match_expected_tables(thue_morse, rudin_shapiro):
