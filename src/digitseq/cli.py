@@ -172,7 +172,7 @@ def _fourier_check_parseval(ctx, rng, samples):
 
 def _fourier_check_prop1(ctx, rng, samples):
     h = int(rng.integers(0, ctx.q ** (ctx.lam + ctx.m - 1)))
-    grid = list(range(2, ctx.lam + 1, 2)) or [ctx.lam]
+    grid = list(range(2, ctx.lam + 1, 2))
     profile = fourier.prop1_decay_profile(ctx, (0,) * ctx.k, h, grid)
     return {"h": h, "profile": profile.to_dict(),
             "ok": profile.max_matrix_residual <= 1e-9}
@@ -216,6 +216,9 @@ def _cmd_fourier(args) -> int:
     if args.check == "recursion" and args.lam < 2:
         # the check draws its depths from [2, lambda]
         raise ValueError(f"--check recursion needs --lambda >= 2, got {args.lam}")
+    if args.check == "prop1" and args.lam < 4:
+        # the fitted rate needs two depths from the even ones in [2, lambda]
+        raise ValueError(f"--check prop1 needs --lambda >= 4, got {args.lam}")
     f = _load_function(args)
     alpha = AlphaVector.parse(args.alpha, f.m_prime)
     ctx = fourier.make_context(f, alpha, args.lam)

@@ -281,28 +281,18 @@ def weight_v(ctx: FourierContext, I, eps: int, delta: int, j: int) -> complex:
 # H and G
 
 
-# Row length from which `_phases` adds every row alone, in place: the two
-# extra passes of a fancy-indexed add over rows sharing a c then cost more
-# than a Python step per row (docs/DECISIONS.md, 14).
-_LONG_ROW = 1 << 10
-
-
 def _rows_by_value(col: np.ndarray) -> list:
     """(v, rows) for each distinct v of the 1-D array col.
 
-    rows are the positions holding v: an int where v is held once, so
-    that ph[rows] is a view added in place, else a list or index array.
+    rows are the positions holding v: an int where v is held once and a
+    slice where they are consecutive, so that ph[rows] is a view added in
+    place, else a list.
     """
-    if len(col) <= 32:  # a dict costs less than a sort on a short stack
-        at = {}
-        for row, v in enumerate(col.tolist()):
-            at.setdefault(v, []).append(row)
-        return [(v, rows[0] if len(rows) == 1 else rows) for v, rows in at.items()]
-    order = np.argsort(col)
-    col = col[order]
-    cut = np.flatnonzero(np.diff(col, prepend=-1)).tolist()
-    return [(v, order[a] if b - a == 1 else order[a:b])
-            for a, b, v in zip(cut, cut[1:] + [len(col)], col[cut].tolist())]
+    at = {}
+    for row, v in enumerate(col.tolist()):
+        at.setdefault(v, []).append(row)
+    return [(v, rows[0] if len(rows) == 1 else slice(rows[0], rows[-1] + 1)
+             if rows[-1] - rows[0] < len(rows) else rows) for v, rows in at.items()]
 
 
 def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
@@ -313,9 +303,8 @@ def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
     `ctx.phase_roots` with it).  H takes stride 1 and n = q^(lam+m-1), G
     stride q^(m-1) and n = q^lam.  With c = (stride l d + i_l) mod
     q^(lam+m-1) = r + stride o, r < stride, the row of band values at
-    u < n is band[r::stride] rotated left by o: two slices.  Rows shorter
-    than _LONG_ROW take them once per distinct c, into every row with
-    that c; longer rows take them one row at a time, in place.
+    u < n is band[r::stride] rotated left by o: two slices, taken once
+    per distinct c into every row with that c.
     """
     big = ctx.q ** (lam + ctx.m - 1)
     n = big // stride
@@ -327,9 +316,7 @@ def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
     for ell, num in enumerate(ctx.alpha.numerators):
         if num:
             band = tab if num == 1 else ctx.times[num][tab]
-            col = C[:, ell]
-            for c, rows in (_rows_by_value(col) if n < _LONG_ROW
-                            else zip(col.tolist(), range(len(col)))):
+            for c, rows in _rows_by_value(C[:, ell]):
                 o, r = divmod(c, stride)
                 ph[rows, :n - o] += band[c::stride]  # band[r::stride][o:]
                 if o:
@@ -791,31 +778,36 @@ def prop1_decay_profile(ctx: FourierContext, I_prime, h: int,
 
     The average uses lam' = ceil(lam/2) and should shrink geometrically
     in lam for integer K; the G-average equals a pair-matrix product
-    entry, giving an independent recomputation per row.
+    entry, giving an independent recomputation per row.  The pair
+    (I', d) reads the phases of the row I' + stride d (0, 1, .., k-1) at
+    d = 0, so each depth takes one stacked H and one stacked G sum.
     """
     ctx.require_nonzero_alpha("decay profile")
     if not ctx.alpha.is_integer_K:
         raise ValueError("average decay profile applies to integer K")
     if not is_start_index_vector(I_prime):
         raise ValueError(f"{I_prime} is not a start-normalized offset vector")
+    lambda_grid = [int(lam) for lam in lambda_grid]
+    if not lambda_grid:
+        raise ValueError("lambda_grid must not be empty")
     Is = ctx.index_vectors()
-    row_of = {I: r for r, I in enumerate(Is)}
-    nI = len(Is)
+    at = Is.index(tuple(I_prime)) * (len(Is) + 1)  # the (I', I') pair entry
     rows = []
     for lam in lambda_grid:
-        lam = int(lam)
         lam_prime = (lam + 1) // 2
         n = ctx.q ** lam_prime
         budget_check("sum", n * ctx.q ** (lam + ctx.m - 1), "decay profile row")
-        h_avg = 0.0
-        g_avg = 0.0
-        for d in range(n):
-            h_avg += abs(fourier_H(ctx, I_prime, h, d, lam)) ** 2
-            g_avg += abs(fourier_G(ctx, I_prime, h, d, lam)) ** 2
+        _check_depth(ctx, lam)
+        d_ell = np.arange(n, dtype=np.int64)[:, None] * np.arange(ctx.k)
+        H = _fourier_sum(ctx, I_prime + d_ell, h, 0, lam, 1)
+        G = _G(ctx, I_prime + ctx.q ** (ctx.m - 1) * d_ell, h, 0, lam)
+        h_avg = g_avg = 0.0
+        for hd, gd in zip(H.tolist(), G.tolist()):  # in d order
+            h_avg += abs(hd) ** 2
+            g_avg += abs(gd) ** 2
         h_avg /= n
         g_avg /= n
-        psi = psi_vector(ctx, h, lam, lam_prime)
-        g_mat = float(psi[row_of[I_prime] * nI + row_of[I_prime]].real)
+        g_mat = float(psi_vector(ctx, h, lam, lam_prime)[at].real)
         rows.append(DecayProfileRow(lam=lam, lam_prime=lam_prime,
                                     h_avg=h_avg, g_avg=g_avg,
                                     g_avg_matrix=g_mat))
@@ -983,15 +975,6 @@ class WitnessRecord:
         return {**asdict(self), "I": list(self.I), "verified": self.verified}
 
 
-def _partition_at(keys, q: int, x: int):
-    """Group offset positions by key mod q^x; canonical sorted form."""
-    p = q ** x
-    classes = {}
-    for ell, key in enumerate(keys):
-        classes.setdefault(key % p, []).append(ell)
-    return tuple(sorted(tuple(v) for v in classes.values()))
-
-
 def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     """Build and verify the saving certificate for one (I, delta).
 
@@ -1021,25 +1004,22 @@ def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
 
     keys = [I[ell] // shift + dd * ell for ell in range(k)]
 
-    x0 = None
-    for x in range(step * (k - 1) + 1):
-        if _partition_at(keys, q, x) == _partition_at(keys, q, x + step):
-            x0 = x
-            break
-    if x0 is None:
-        raise RuntimeError("partition chain failed to stabilize")
+    # classes mod q^(x+step) refine those mod q^x, so the two partitions
+    # agree exactly when their class counts do; a count starts at 1, never
+    # falls and never passes k, so some x <= step (k-1) is stable
+    # (docs/DECISIONS.md, 19)
+    x0 = next(x for x in range(step * (k - 1) + 1)
+              if len({key % q ** x for key in keys})
+              == len({key % q ** (x + step) for key in keys}))
 
-    classes = {}
-    for ell, key in enumerate(keys):
-        classes.setdefault(key % q ** x0, []).append(ell)
-    beta_nums = {c: sum(ctx.alpha.numerators[ell] for ell in members) % mp
-                 for c, members in classes.items()}
-    c0 = min((c for c, b in beta_nums.items() if b != 0), default=None)
-    if c0 is None:
-        raise RuntimeError("no class with non-integral coefficient mass; "
-                           "K should be non-integral")
-    beta_num = beta_nums[c0]
-    c0_plus = keys[classes[c0][0]] % q ** (x0 + step)
+    beta_nums, plus = {}, {}
+    for key, num in zip(keys, ctx.alpha.numerators):
+        c = key % q ** x0
+        beta_nums[c] = (beta_nums.get(c, 0) + num) % mp
+        plus.setdefault(c, key % q ** (x0 + step))
+    # the class masses add up to K_num, nonzero for non-integer K
+    c0 = min(c for c, b in beta_nums.items() if b)
+    beta_num, c0_plus = beta_nums[c0], plus[c0]
 
     e1, e2, d = find_difference_witness(ctx.f, beta_num)
 
@@ -1138,6 +1118,9 @@ def prop2_decay_check(ctx: FourierContext, I_prime, h: int, d: int,
         raise ValueError("uniform decay check applies to non-integer K")
     if not is_start_index_vector(I_prime):
         raise ValueError(f"{I_prime} is not a start-normalized offset vector")
+    L_grid = [int(L) for L in L_grid]
+    if not L_grid:
+        raise ValueError("L_grid must not be empty")
     m1 = ctx.m1_single()
     eta = ctx.eta_single() / (ctx.q ** m1 * math.log(ctx.q ** m1))
     lam = ctx.lam
@@ -1146,7 +1129,6 @@ def prop2_decay_check(ctx: FourierContext, I_prime, h: int, d: int,
     rows = []
     worst = 0.0
     for L in L_grid:
-        L = int(L)
         if not 0 <= L <= lam:
             raise ValueError(f"need 0 <= L <= lam, got L={L}")
         g_max = max(map(abs, _G(ctx, Is, h, d // ctx.q ** L, lam - L).tolist()))

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: formats, exit codes, determinism."""
 
 import json
+import math
 from pathlib import Path
 
 import mpmath
@@ -196,6 +197,26 @@ def test_fourier_recursion_rejects_lambda_below_two(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --check recursion needs --lambda >= 2, got {lam}\n"
+
+
+def test_fourier_prop1_rejects_lambda_below_four(capsys):
+    # the fitted rate needs two of the even depths in [2, lambda]; one row
+    # would print a NaN rate, which strict JSON parsers reject
+    argv = ["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1", "--check", "prop1"]
+    for lam in ("3", "1", "0"):
+        assert dispatch(argv + ["--lambda", lam]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --check prop1 needs --lambda >= 4, got {lam}\n"
+
+    def strict(name):
+        raise ValueError(f"{name} is not JSON")
+
+    code, out = run(capsys, *argv, "--lambda", "4")
+    assert code == 0
+    profile = json.loads(out, parse_constant=strict)["result"]["profile"]
+    assert [r["lam"] for r in profile["rows"]] == [2, 4]
+    assert math.isfinite(profile["fitted_rate"])
 
 
 def test_toolbox_vdc_rejects_several_numerators(capsys):

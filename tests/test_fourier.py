@@ -1,5 +1,6 @@
 """Index sets, T/v, the H/G Fourier terms, transfer matrices, witnesses."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -327,6 +328,28 @@ def test_fourier_sum_stack_past_stack_terms_bit_for_bit():
                               reference_fourier_sum(ctx, stack, h, d, 10, 1, 2 ** 10))
 
 
+@pytest.mark.parametrize("f,k,lams", [
+    (_pair_function(3), 3, (1, 2, 3)),          # 48 offset vectors, short rows
+    (dq.preset("rudin-shapiro"), 3, (9, 10)),   # rows of 2^9 to 2^11 terms
+    (dq.preset("thue-morse"), 2, (10, 11)),
+], ids=["q3-m2-k3", "rs-k3", "tm-k2"])
+def test_phases_match_reference_on_shared_and_long_rows(f, k, lams):
+    # stacks of more than 32 rows and rows of 2^10 terms or more, each c
+    # held by several rows, give the %-indexed gather's phases exactly
+    ctx = fx.make_context(f, AlphaVector([1] * (k - 1) + [f.m_prime - 1], f.m_prime), 1)
+    Is = list(ctx.index_vectors())
+    stack = (Is + Is[::-1]) * (1 + 32 // len(Is))
+    assert len(stack) > 32
+    for lam in lams:
+        big = f.q ** (lam + f.m - 1)
+        for stride in (1, f.q ** (f.m - 1)):
+            n = big // stride
+            for d in (0, 3, big + 1, 2 ** 65 - 1):
+                want = reference_phases(ctx, stack, d, lam, stride, n)
+                got = fx._phases(ctx, stack, d, lam, stride)
+                assert (got % f.m_prime == want).all() and got.max() < len(ctx.phase_roots)
+
+
 def test_phase_tables_grow_linearly_in_m_prime():
     # each coefficient's band is reduced mod m' first, so a phase sums k
     # terms below m' and the wrapped roots table has k (m' - 1) + 1 entries
@@ -511,6 +534,32 @@ def test_prop1_profile(rs_ctx):
     assert prof.max_matrix_residual <= 1e-9
 
 
+def test_prop1_profile_matches_scalar_sums():
+    # each row's stacked H and G sums give the averages of one scalar call
+    # per d, added in d order, to the bit
+    cases = [(dq.preset("rudin-shapiro"), (1, 1), (0, 1), 5, range(1, 8)),
+             (dq.preset("thue-morse"), (1, 1, 0), (0, 1, 1), 2 ** 64 + 3, [0, 3, 6]),
+             (_pair_function(3), (1, 1), (0, 0), -4, [1, 2, 3])]
+    for f, nums, Ip, h, grid in cases:
+        ctx = fx.make_context(f, AlphaVector(nums, f.m_prime), 4)
+        prof = fx.prop1_decay_profile(ctx, Ip, h, grid)
+        for row in prof.rows:
+            n = f.q ** row.lam_prime
+            h_avg = g_avg = 0.0
+            for d in range(n):
+                h_avg += abs(fx.fourier_H(ctx, Ip, h, d, row.lam)) ** 2
+                g_avg += abs(fx.fourier_G(ctx, Ip, h, d, row.lam)) ** 2
+            assert (row.h_avg, row.g_avg) == (h_avg / n, g_avg / n)
+        assert prof.max_matrix_residual <= 1e-9
+
+
+def test_decay_checks_reject_empty_grids(rs_ctx, tm_ctx):
+    with pytest.raises(ValueError, match="lambda_grid must not be empty"):
+        fx.prop1_decay_profile(rs_ctx, (0, 0), 0, [])
+    with pytest.raises(ValueError, match="L_grid must not be empty"):
+        fx.prop2_decay_check(tm_ctx, (0,), 5, 123, [])
+
+
 def test_prop1_profile_wrong_branch(rs_half_ctx):
     with pytest.raises(ValueError):
         fx.prop1_decay_profile(rs_half_ctx, (0, 0), 0, [4, 6])
@@ -675,6 +724,118 @@ def test_saving_sweep_memory_bounded_by_window_cap():
 
 # ----------------------------------------------------------------------
 # witnesses
+
+
+def _partition_at(keys, q, x):
+    """Group offset positions by key mod q^x; canonical sorted form."""
+    p = q ** x
+    classes = {}
+    for ell, key in enumerate(keys):
+        classes.setdefault(key % p, []).append(ell)
+    return tuple(sorted(tuple(v) for v in classes.values()))
+
+
+def reference_saving_witness(ctx, I, delta):
+    """The witness built from sorted partitions compared level by level."""
+    if not fx.is_index_vector(I, ctx.q, ctx.m):
+        raise ValueError(f"{I} is not a valid offset vector")
+    q, m, k, mp = ctx.q, ctx.m, ctx.k, ctx.m_prime
+    m1 = ctx.m1_single()
+    step = 4 * m - 2
+    dd = int(delta) % q ** m1
+    shift = q ** (m - 1)
+
+    keys = [I[ell] // shift + dd * ell for ell in range(k)]
+
+    x0 = None
+    for x in range(step * (k - 1) + 1):
+        if _partition_at(keys, q, x) == _partition_at(keys, q, x + step):
+            x0 = x
+            break
+    if x0 is None:
+        raise RuntimeError("partition chain failed to stabilize")
+
+    classes = {}
+    for ell, key in enumerate(keys):
+        classes.setdefault(key % q ** x0, []).append(ell)
+    beta_nums = {c: sum(ctx.alpha.numerators[ell] for ell in members) % mp
+                 for c, members in classes.items()}
+    c0 = min((c for c, b in beta_nums.items() if b != 0), default=None)
+    if c0 is None:
+        raise RuntimeError("no class with non-integral coefficient mass; "
+                           "K should be non-integral")
+    beta_num = beta_nums[c0]
+    c0_plus = keys[classes[c0][0]] % q ** (x0 + step)
+
+    e1, e2, d = dq.find_difference_witness(ctx.f, beta_num)
+
+    m1p = x0 + step
+    pm1p = q ** m1p
+    eps = [(q ** (x0 + m - 1) * (e + 1) - c0_plus - 1) % pm1p for e in (e1, e2)]
+    wrapped = any(e + 1 == pm1p for e in eps)
+
+    delta_red = int(delta) % pm1p
+    clause_T = all(
+        fx._T(ctx, I, e, delta_red, m1p) == fx._T(ctx, I, (e + 1) % pm1p, delta_red, m1p)
+        for e in eps
+    )
+
+    ph = [(fx.weight_v_phase(ctx, I, e, delta_red, m1p),
+           fx.weight_v_phase(ctx, I, (e + 1) % pm1p, delta_red, m1p))
+          for e in eps]
+    xi = [(b - a) % mp for a, b in ph]
+    xi_gap = (xi[0] - xi[1]) % mp
+
+    zg = np.exp(2j * np.pi * np.arange(256) / 256)
+    gap = (eps[1] - eps[0]) % pm1p
+    if gap in (1, pm1p - 1):
+        argument = "chain"
+        eta_p = fx.eta_chain(mp)
+        first = 0 if gap == 1 else 1
+        (v0, v1), (_, v2) = ph[first], ph[1 - first]
+        chain = ctx.roots[v0] + zg * ctx.roots[v1] + zg ** 2 * ctx.roots[v2]
+        max_pair = float(np.abs(chain).max())
+        bounded = eps[first] + 2 < pm1p and max_pair <= 3.0 - eta_p + fx._TOL
+    else:
+        argument = "two-pair"
+        eta_p = fx.eta_pair_witness(mp)
+        pair_sums = sum(
+            np.abs(ctx.roots[a] + zg * ctx.roots[b]) for a, b in ph
+        )
+        max_pair = float(pair_sums.max())
+        bounded = max_pair <= 4.0 - eta_p + fx._TOL
+    clause_v = xi_gap != 0 and bounded
+
+    return fx.WitnessRecord(
+        I=tuple(I), delta=int(delta), d_key=dd, x0=x0, c0=c0, c0_plus=c0_plus,
+        e1=e1, e2=e2, d=d, eps1=eps[0], eps2=eps[1], m1_prime=m1p,
+        beta_c0_num=beta_num, eta_prime=eta_p, xi_gap_num=xi_gap,
+        max_pair_sum=max_pair, clause_T_ok=clause_T, clause_v_ok=clause_v,
+        wrapped=wrapped, argument=argument,
+    )
+
+
+_WITNESS_CASES = [("thue-morse", k) for k in (1, 2, 3)] \
+    + [("rudin-shapiro", k) for k in (1, 2, 3)] + [("digit-sum:3,3", k) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("preset,k", _WITNESS_CASES)
+def test_witness_matches_reference(preset, k):
+    # every non-integer-K alpha, every index vector, deltas spread over
+    # [0, q^m1) and its first 24: the class-count walk gives the records
+    # of the sorted-partition walk, field for field
+    f = dq.parse_preset(preset)
+    for nums in itertools.product(range(f.m_prime), repeat=k):
+        alpha = AlphaVector(nums, f.m_prime)
+        if alpha.is_integer_K:
+            continue
+        ctx = fx.make_context(f, alpha, 1)
+        p = f.q ** ctx.m1_single()
+        deltas = sorted(set(range(min(p, 24))) | set(fx.stratified_samples(p, 24)))
+        for I in ctx.index_vectors():
+            for delta in deltas:
+                assert fx.find_saving_witness(ctx, I, delta).to_dict() \
+                    == reference_saving_witness(ctx, I, delta).to_dict()
 
 
 def test_witness_thue_morse(tm_ctx):
