@@ -50,6 +50,9 @@ MAX_ARG_BITS = 126
 # int64 headroom for the vectorized evaluation paths.
 _VECTOR_ARG_LIMIT = 1 << 62
 
+# Arguments per `eval_b_many` scan, as many as a default `stream` chunk.
+_SCAN_CHUNK = 1 << 16
+
 
 class FunctionSpecError(ValueError):
     """Malformed function-spec text (carries a line number)."""
@@ -459,7 +462,7 @@ def _round_digits(g: DigitalFunction, top: int) -> int:
 
 
 def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
-    """sum_{j < digits} F[(x // q^j) mod q^m] for int64 x < q^(digits+m-1).
+    """sum_{j < digits} F[(x // q^j) mod q^m] for int64 0 <= x < q^(digits+m-1).
 
     Where `_bit_plan` serves g, sum_S a_S popcount(AND_{i in S} (x >> i)
     mod 2^digits); else `_block_width(g)` digits per block-table lookup and
@@ -486,12 +489,28 @@ def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
         table = _block_table(g, width)
         size, step = q ** (width + g.m - 1), q ** width
         idx, vals = np.empty_like(x), np.empty(x.shape, dtype=table.dtype)
-        for _ in range(full):
-            out += np.take(table, _rem(x, size, out=idx), out=vals)
-            if q & (q - 1) == 0:  # power-of-two base: a shift beats division
+        if q & (q - 1) == 0:  # power-of-two base: a mask and a shift
+            for _ in range(full):
+                out += np.take(table, _rem(x, size, out=idx), out=vals)
                 x >>= step.bit_length() - 1
-            else:
-                x //= step
+        else:
+            # x >= 0, so its uint64 view holds the same values, and an
+            # unsigned quotient costs less than a floor one; the quotient
+            # carries to the next round and, for m = 1 (size == step), its
+            # remainder is the index
+            y, uidx = x.view(np.uint64), idx.view(np.uint64)
+            quot = np.empty_like(y)
+            for _ in range(full):
+                np.floor_divide(y, step, out=quot)
+                if size == step:
+                    np.multiply(quot, step, out=uidx)
+                else:
+                    np.floor_divide(y, size, out=uidx)
+                    uidx *= size
+                np.subtract(y, uidx, out=uidx)
+                out += np.take(table, idx, out=vals)
+                y, quot = quot, y
+            x = y.view(np.int64)
     if rest:
         out += np.take(_block_table(g, rest), x)
     return out
@@ -501,7 +520,8 @@ def eval_b_many(f: DigitalFunction, ns) -> np.ndarray:
     """Vectorized b over integer arguments; bit-identical to eval_b.
 
     Arguments times q^(m-1) must stay below 2^62; wider ones raise
-    OverflowError (``stream`` splits those into limbs).
+    OverflowError (``stream`` splits those into limbs).  The scan runs
+    on chunks of 2^16 arguments, so its temporaries stay cache-resident.
     """
     ns = _int64_array(ns)
     if ns.size == 0:
@@ -513,7 +533,11 @@ def eval_b_many(f: DigitalFunction, ns) -> np.ndarray:
     top = int(ns.max()) * shift
     if top >= _VECTOR_ARG_LIMIT:
         raise OverflowError("arguments too wide for the vectorized path")
-    return _scan(f, ns * shift, _ilog_floor(f.q, top) + 1).astype(np.int64, copy=False)
+    digits = _ilog_floor(f.q, top) + 1
+    flat, out = ns.reshape(-1), np.empty(ns.size, dtype=np.int64)
+    for s in range(0, flat.size, _SCAN_CHUNK):  # the product is the scan's copy
+        out[s:s + _SCAN_CHUNK] = _scan(f, flat[s:s + _SCAN_CHUNK] * shift, digits)
+    return out.reshape(ns.shape)
 
 
 def eval_b_band_many(f: DigitalFunction, xs, mu: int, lam: int) -> np.ndarray:

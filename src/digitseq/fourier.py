@@ -788,8 +788,8 @@ def prop1_decay_profile(ctx: FourierContext, I_prime, h: int,
     if not is_start_index_vector(I_prime):
         raise ValueError(f"{I_prime} is not a start-normalized offset vector")
     lambda_grid = [int(lam) for lam in lambda_grid]
-    if not lambda_grid:
-        raise ValueError("lambda_grid must not be empty")
+    if len(set(lambda_grid)) < 2:  # the fitted rate is a slope through the rows
+        raise ValueError("lambda_grid needs at least two distinct depths")
     Is = ctx.index_vectors()
     at = Is.index(tuple(I_prime)) * (len(Is) + 1)  # the (I', I') pair entry
     rows = []
@@ -812,12 +812,9 @@ def prop1_decay_profile(ctx: FourierContext, I_prime, h: int,
                                     h_avg=h_avg, g_avg=g_avg,
                                     g_avg_matrix=g_mat))
     decreasing = all(b.h_avg < a.h_avg for a, b in zip(rows, rows[1:]))
-    if len(rows) >= 2:
-        xs = np.array([r.lam for r in rows], dtype=float)
-        ys = np.log([max(r.h_avg, 1e-300) for r in rows])
-        rate = float(np.polyfit(xs, ys, 1)[0])
-    else:
-        rate = math.nan
+    xs = np.array([r.lam for r in rows], dtype=float)
+    ys = np.log([max(r.h_avg, 1e-300) for r in rows])
+    rate = float(np.polyfit(xs, ys, 1)[0])
     residual = max(abs(r.g_avg - r.g_avg_matrix) for r in rows)
     return DecayProfile(rows=tuple(rows), strictly_decreasing=decreasing,
                         fitted_rate=rate, max_matrix_residual=residual)

@@ -245,7 +245,7 @@ def test_band_many_matches_scalar(rng, rudin_shapiro):
                    for v, x in zip(vec, xs))
 
 
-@pytest.mark.parametrize("q", [2, 3, 10])
+@pytest.mark.parametrize("q", [2, 3, 5, 6, 7, 10, 12])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_band_kernel_matches_window(rng, q, m):
     size = q ** m
@@ -253,7 +253,7 @@ def test_band_kernel_matches_window(rng, q, m):
     g = dq.normalize(dq.make_digital_function(q, m, table, 2))
     w = _block_width(g)
     bands = [(0, 0), (4, 4), (0, w - 1), (1, w), (0, w), (3, w + 3),
-             (0, w + 1), (2, 2 * w + 3)]
+             (0, w + 1), (2, 2 * w + 3), (0, 2 * w), (0, 3 * w)]
     # one band whose period q^(lam+m-1) reaches 2^62 and one past int64
     deep = next(lam for lam in range(200) if q ** (lam + m - 1) >= 1 << 62)
     bands += [(0, deep), (5, deep + 40)]
@@ -263,10 +263,83 @@ def test_band_kernel_matches_window(rng, q, m):
     bands += [(wide, wide + 1), (wide + 1, wide + 7)]
     xs = rng.integers(-(2 ** 63), 2 ** 63 - 1, 200, dtype=np.int64, endpoint=True)
     for mu, lam in bands:
-        args = xs if q ** (lam + m - 1) < 2 ** 63 else np.abs(xs[1:])
+        period = q ** (lam + m - 1)
+        args = xs if period < 2 ** 63 else np.abs(xs[1:])
+        # the top of the scan's range, x = period - 1, and of int64
+        edges = [x for x in (period - 1, 2 ** 62 - 1, 2 ** 63 - 1) if x < 2 ** 63]
+        args = np.concatenate([args, np.array(edges, dtype=np.int64)])
         win = dq.TruncationWindow(mu, lam)
         want = [dq.eval_b_window(g, int(x), win) for x in args]
         assert eval_b_band_many(g, args, mu, lam).tolist() == want, (mu, lam)
+
+
+# ----------------------------------------------------------------------
+# the base-q > 2 block rounds: one unsigned quotient a round (the suite
+# turns warnings into errors, so a mixed uint64/int promotion fails here)
+
+
+def round_function(q, m):
+    """A seeded base-q table of window length m, every weight but F[0] nonzero."""
+    weights = np.random.default_rng([q, m]).integers(1, 9, q ** m - 1)
+    return dq.make_digital_function(q, m, [0] + weights.tolist(), 7)
+
+
+def assert_streams_match_scalar(f):
+    """Streams of 300 symbols below 2^62, across it (t^2 passes 2^62 at
+    t = 2^31) and past it, on the wide limbs, against eval_b mod m'."""
+    starts = [(dq.SQUARE, 0), (dq.SQUARE, 3 * 10 ** 6), (dq.SQUARE, 2 ** 31 - 150),
+              (dq.SQUARE, 2 ** 40), (dq.SQUARE, 2 ** 62), (dq.IDENTITY, 2 ** 100 - 150)]
+    for index_map, start in starts:
+        want = [dq.eval_b(f, index_map(t)) % f.m_prime for t in range(start, start + 300)]
+        for chunk, threads in ((1 << 16, 1), (64, 2)):
+            got = dq.stream(f, index_map, start, 300, chunk=chunk, threads=threads)
+            assert got.tolist() == want, (index_map, start, chunk)
+
+
+@pytest.mark.parametrize("q", [3, 5, 6, 7, 10, 12])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_block_rounds_match_scalar(rng, q, m):
+    f, shift = round_function(q, m), q ** (m - 1)
+    w = _block_width(f)
+    # every argument count D, so the D + m - 1 scanned digits fall on whole
+    # rounds and on every part round, up to arguments times q^(m-1) < 2^62
+    top_digits = _ilog_floor(q, ((1 << 62) - 1) // shift)
+    scanned = set()
+    for D in range(1, top_digits + 1):
+        ns = np.array([q ** D - 1, q ** D - 2, q ** (D - 1),
+                       int(rng.integers(0, q ** D))], dtype=np.int64)
+        scanned.add((D + m - 1) % w)
+        assert dq.eval_b_many(f, ns).tolist() == [dq.eval_b(f, int(n)) for n in ns], D
+    assert 0 in scanned and len(scanned) > 1
+    ns = np.array([((1 << 62) - 1) // shift - k for k in range(3)], dtype=np.int64)
+    assert dq.eval_b_many(f, ns).tolist() == [dq.eval_b(f, int(n)) for n in ns]
+
+
+@pytest.mark.parametrize("name", ["digit-sum:10,7", "digit-sum:3,3", "digit-sum:12",
+                                  "10,2", "6,3"])
+def test_block_rounds_stream(name):
+    f = round_function(*map(int, name.split(","))) if name[0].isdigit() \
+        else dq.parse_preset(name)
+    assert_streams_match_scalar(f)
+
+
+@pytest.mark.parametrize("count", [2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1])
+def test_eval_b_many_chunks(rng, count):
+    # one digit count serves every chunk: the widest argument is the last
+    for f in (dq.parse_preset("digit-sum:10,7"), dq.preset("rudin-shapiro"),
+              round_function(3, 2)):
+        ns = rng.integers(0, 2 ** 40, count, dtype=np.int64)
+        ns[-1] = 2 ** 41 - 1
+        shift = f.q ** (f.m - 1)
+        digits = _ilog_floor(f.q, int(ns.max()) * shift) + 1
+        got = dq.eval_b_many(f, ns)
+        assert got.dtype == np.int64 and got.shape == (count,)
+        assert got.tolist() == dq.digital._scan(f, ns * shift, digits).tolist()
+        for k in (0, 2 ** 16 - 2, 2 ** 16 - 1, 2 ** 16, count - 1):
+            if k < count:
+                assert got[k] == dq.eval_b(f, int(ns[k])), k
+        assert dq.eval_b_many(f, ns[:15].reshape(3, 5)).tolist() == \
+            got[:15].reshape(3, 5).tolist()
 
 
 INT64_EDGES = [-2 ** 63, -2 ** 62 - 1, -2 ** 62, -1, 0, 1, 2 ** 62, 2 ** 63 - 1]
@@ -709,13 +782,7 @@ def test_bit_scan_matches_scalar(rng):
 def test_bit_scan_streams(name):
     f = dq.make_digital_function(2, 3, sparse_table(np.random.default_rng(7), 3, 2), 3) \
         if name == "sparse" else dq.parse_preset(name)
-    starts = [(dq.SQUARE, 0), (dq.SQUARE, 3 * 10 ** 6), (dq.SQUARE, 2 ** 31 - 150),
-              (dq.SQUARE, 2 ** 40), (dq.SQUARE, 2 ** 62), (dq.IDENTITY, 2 ** 100 - 150)]
-    for index_map, start in starts:
-        want = [dq.eval_b(f, index_map(t)) % f.m_prime for t in range(start, start + 300)]
-        for chunk, threads in ((1 << 16, 1), (64, 2)):
-            got = dq.stream(f, index_map, start, 300, chunk=chunk, threads=threads)
-            assert got.tolist() == want, (index_map, start, chunk)
+    assert_streams_match_scalar(f)
 
 
 def test_bit_scan_limbs():

@@ -1,6 +1,7 @@
 """Index sets, T/v, the H/G Fourier terms, transfer matrices, witnesses."""
 
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -554,10 +555,20 @@ def test_prop1_profile_matches_scalar_sums():
 
 
 def test_decay_checks_reject_empty_grids(rs_ctx, tm_ctx):
-    with pytest.raises(ValueError, match="lambda_grid must not be empty"):
+    with pytest.raises(ValueError, match="lambda_grid needs at least two distinct depths"):
         fx.prop1_decay_profile(rs_ctx, (0, 0), 0, [])
     with pytest.raises(ValueError, match="L_grid must not be empty"):
         fx.prop2_decay_check(tm_ctx, (0,), 5, 123, [])
+
+
+def test_prop1_profile_needs_two_depths(rs_ctx):
+    # a slope through one depth was NaN, which json.dumps writes as bare NaN
+    for grid in ([4], [6, 6]):
+        with pytest.raises(ValueError, match="at least two distinct depths"):
+            fx.prop1_decay_profile(rs_ctx, (0, 0), 0, grid)
+    prof = fx.prop1_decay_profile(rs_ctx, (0, 0), 0, [4, 5])
+    assert math.isfinite(prof.fitted_rate)
+    json.loads(json.dumps(prof.to_dict()), parse_constant=pytest.fail)
 
 
 def test_prop1_profile_wrong_branch(rs_half_ctx):
