@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -45,13 +46,11 @@ def _load_function(args):
     return normalize(f)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text) -> None:
+    """Write text, or each text of an iterable, to --out or stdout."""
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(out, "w", encoding="ascii") if out else nullcontext(sys.stdout) as fh:
+        fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -63,26 +62,37 @@ def _emit_json(args, payload: dict) -> None:
 # generate
 
 
+def _raw_text(values) -> str:
+    """Digits in lines of 64, each line ended by a newline.  Chunks of 2^16
+    fill whole lines, so their texts join into the text of the stream."""
+    rows, rest = -(-values.size // 64), values.size % 64
+    text = np.full((rows, 65), ord("\n"), dtype=np.uint8)
+    np.add(values[:values.size - rest].reshape(-1, 64), ord("0"),
+           out=text[:values.size // 64, :64], casting="unsafe")
+    text[-1, :rest] = values[values.size - rest:] + ord("0")
+    return text.tobytes()[:values.size + rows].decode("ascii")
+
+
 def _cmd_generate(args) -> int:
     f = _load_function(args)
     index_map = seqgen.parse_index_map(args.map)
-    values = seqgen.stream(f, index_map, args.start, args.count,
-                           threads=args.threads)
+    chunks = seqgen._chunks(f, index_map, args.start, args.count,
+                            threads=args.threads)
     if args.format == "raw":
         if f.m_prime > 10:
             raise ValueError("raw output needs m_prime <= 10; use --format csv")
-        # 64 digits a line: fill rows of 64 digits and a newline, then cut
-        # the last row after its digits and one newline
-        rows = -(-values.size // 64)
-        text = np.full((rows, 65), ord("\n"), dtype=np.uint8)
-        text[:, :64].flat[:values.size] = values.astype(np.uint8) + ord("0")
-        _emit(args, text.tobytes()[:values.size + rows].decode("ascii"))
-    else:
-        lines = ["t,n,value"]
-        for off, v in enumerate(values.tolist()):
-            t = args.start + off
-            lines.append(f"{t},{index_map(t)},{v}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, map(_raw_text, chunks))
+        return 0
+
+    def lines():
+        t = args.start
+        yield "t,n,value\n"
+        for values in chunks:
+            yield "".join(f"{t + i},{index_map(t + i)},{v}\n"
+                          for i, v in enumerate(values.tolist()))
+            t += values.size
+
+    _emit(args, lines())
     return 0
 
 
@@ -93,10 +103,14 @@ def _cmd_generate(args) -> int:
 def _cmd_stats(args) -> int:
     f = _load_function(args)
     index_map = seqgen.parse_index_map(args.map)
-    values = seqgen.stream(f, index_map, 0, args.N, threads=args.threads)
+
+    def chunks():
+        return seqgen._chunks(f, index_map, 0, args.N, threads=args.threads)
+
+    chunks()  # the stream's own checks come first
     # complexity needs a prefix longer than the window; N = 1 has none
-    n_max = min(args.k, values.size - 1)
-    hist, comp = normality._block_statistics(values, args.k, n_max)
+    hist, comp = normality._window_statistics(chunks, f.m_prime, args.k, args.N,
+                                              min(args.k, args.N - 1))
     report = normality.normality_deviation(hist, f.m_prime)
     if args.report == "json":
         counts = {"".join(map(str, block)): c
@@ -323,16 +337,18 @@ def _cmd_bench(args) -> int:
     f = _load_function(args)
     index_map = seqgen.parse_index_map(args.map)
     payload = {"inputs": {"map": index_map.describe(), "count": args.count}}
-    start = time.perf_counter()
-    values = seqgen.stream(f, index_map, 0, args.count, threads=args.threads)
-    elapsed = time.perf_counter() - start
-    payload["checksum"] = int(values.sum())
-    payload["head"] = values[:16].tolist()
+
+    def run(count):
+        """Seconds to stream and sum count symbols, the sum and the head."""
+        start, total, head = time.perf_counter(), 0, []
+        for values in seqgen._chunks(f, index_map, 0, count, threads=args.threads):
+            total += int(values.sum())
+            head += values[:16 - len(head)].tolist()
+        return time.perf_counter() - start, total, head
+
+    elapsed, payload["checksum"], payload["head"] = run(args.count)
     if args.timing:
-        small = max(args.count // 10, 1)
-        t0 = time.perf_counter()
-        seqgen.stream(f, index_map, 0, small, threads=args.threads)
-        elapsed_small = time.perf_counter() - t0
+        elapsed_small = run(max(args.count // 10, 1))[0]
         payload["seconds"] = elapsed
         payload["rate_per_s"] = args.count / elapsed if elapsed > 0 else None
         payload["scaling_ratio"] = elapsed / elapsed_small if elapsed_small > 0 else None

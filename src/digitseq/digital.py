@@ -467,8 +467,10 @@ def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
     Where `_bit_plan` serves g, sum_S a_S popcount(AND_{i in S} (x >> i)
     mod 2^digits); else `_block_width(g)` digits per block-table lookup and
     the last digits mod width in one lookup of the narrower table, so the
-    round count is fixed.  Gathers go into buffers made once per call; the
-    sum stays in `_acc_dtype(g, digits)`.  x may be overwritten.
+    round count is fixed.  For a base that is not a power of two, a last
+    whole round looks x up without dividing it.  Gathers go into buffers
+    made once per call; the sum stays in `_acc_dtype(g, digits)`.  x may be
+    overwritten.
     """
     out = np.zeros(x.shape, dtype=_acc_dtype(g, digits))
     plan = _bit_plan(g, digits)
@@ -500,7 +502,7 @@ def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
             # remainder is the index
             y, uidx = x.view(np.uint64), idx.view(np.uint64)
             quot = np.empty_like(y)
-            for _ in range(full):
+            for _ in range(full - (rest == 0)):
                 np.floor_divide(y, step, out=quot)
                 if size == step:
                     np.multiply(quot, step, out=uidx)
@@ -511,6 +513,9 @@ def _scan(g: DigitalFunction, x: np.ndarray, digits: int) -> np.ndarray:
                 out += np.take(table, idx, out=vals)
                 y, quot = quot, y
             x = y.view(np.int64)
+            # with no digits left after it, the last round's x is below
+            # q^(w+m-1): its index is x itself and its quotient 0
+            rest = rest or width
     if rest:
         out += np.take(_block_table(g, rest), x)
     return out

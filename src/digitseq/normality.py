@@ -15,6 +15,7 @@ bit for bit.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -23,7 +24,7 @@ import numpy as np
 from .budget import check as budget_check
 from .digital import DigitalFunction, _rem
 from .phases import roots_of_unity
-from .seqgen import SQUARE, stream
+from .seqgen import SQUARE, _chunks
 
 
 @dataclass(frozen=True)
@@ -74,71 +75,119 @@ class BlockHistogram:
     total: int
 
 
-def _window_codes(symbols: np.ndarray, base: int, n_max: int):
-    """Yield (codes, bound) for the length-n windows of symbols in [0, base).
-
-    n runs from 1 to n_max.  Codes are equal, and sort, as their windows
-    do, and lie below bound.  They are held in the narrowest unsigned
-    dtype that holds base^n_max (int64 past 32 bits), and each length is
-    one in-place multiply-add on the last, so a yielded array is
-    overwritten by the next length.  Ranks replace int64 codes before
-    they pass 2^62.
-    """
-    top = base ** min(n_max, 33)   # base^n_max, up to where 32 bits end
-    dtype = next((t for t in (np.uint8, np.uint16, np.uint32)
-                  if top <= 1 << np.iinfo(t).bits), np.int64)
-    sym = symbols.astype(dtype, copy=False)
-    codes, bound = sym.copy(), base
-    yield codes, bound
-    for n in range(2, n_max + 1):
-        if bound * base > 1 << 62:
-            uniq, codes = np.unique(codes, return_inverse=True)
-            bound = uniq.size
+def _window_codes(codes, symbols, base: int, k: int):
+    """Yield, in place, the codes of the windows of length 1 to k of symbols
+    in [0, base), from a copy of them: each length is one multiply-add, and
+    a code is its window's base-`base` number, so codes are equal, and sort,
+    as their windows do."""
+    yield codes
+    for n in range(1, k):
         codes = codes[:-1]
         codes *= base
-        codes += sym[n - 1:]
-        bound *= base
-        yield codes, bound
+        codes += symbols[n:]
+        yield codes
 
 
-def _count(codes: np.ndarray, bound: int):
-    """Distinct codes in [0, bound), ascending, and their counts.
+def _count_windows(chunks, base: int, k: int, windows: int):
+    """Ascending distinct codes of the length-k windows of the chunks' symbols
+    in [0, base) (base^k <= 2^62), their counts, and for n < k the codes of
+    the last k - n length-n windows, which start no length-k window.
 
-    Bins are counted directly when there are no more of them than codes,
-    so the table never outgrows the input; sparse codes are sorted.
+    Symbols pass through one reused narrow buffer, k - 1 of them carried
+    over, and its codes are built in place beside it.  The bins add up
+    where there are no more of them than windows, over buffers of at least
+    2^16 and base^k symbols; else each buffer, of at least 2^16 and the
+    first chunk's symbols, is sorted, and its distinct codes merge into the
+    table once they outnumber it.  Memory: O(base^k or distinct + chunk).
     """
-    if bound <= codes.size:
-        cnt = np.bincount(codes, minlength=bound)
-        uniq = np.flatnonzero(cnt)
-        return uniq, cnt[uniq]
-    return np.unique(codes, return_counts=True)
+    bound = base ** k
+    dtype = next((t for t in (np.uint8, np.uint16, np.uint32)
+                  if bound <= 1 << np.iinfo(t).bits), np.int64)
+    bins = np.zeros(bound if bound <= windows else 0, dtype=np.int64)
+    parts = [(np.zeros(0, dtype), bins)]  # sparse: the table, then new parts
+    chunks = iter(chunks)
+    first = next(chunks)  # sorted: a whole array in memory is one sort
+    sym = np.empty(max(1 << 16, bins.size or first.size) + k - 1, dtype)
+
+    def count(n):
+        *_, codes = _window_codes(sym[:n].copy(), sym[:n], base, k)
+        if bins.size:
+            np.add(bins, np.bincount(codes, minlength=bound), out=bins)
+        else:
+            parts.append(np.unique(codes, return_counts=True))
+            if sum(p[0].size for p in parts[1:]) >= parts[0][0].size:
+                parts[:] = [_merge(parts)]
+        sym[:k - 1] = sym[n - k + 1:n]
+        return k - 1
+
+    fill = 0
+    for x in itertools.chain([first], chunks):
+        while x.size:
+            take = min(x.size, sym.size - fill)
+            sym[fill:fill + take], x = x[:take], x[take:]
+            fill += take
+            if fill == sym.size:
+                fill = count(fill)
+        del x  # the next chunk's temporaries reuse its memory
+    if fill >= k:
+        count(fill)
+    last = sym[:k - 1]
+    tails = [t.copy() for t in _window_codes(last.copy(), last, base, k)]
+    if bins.size:
+        table = np.flatnonzero(bins)
+        return table, bins[table], tails[:-1]
+    return *_merge(parts), tails[:-1]
+
+
+def _merge(parts):
+    """One ascending table of distinct codes, counts summed, from several."""
+    codes, counts = map(np.concatenate, zip(*parts))
+    order = np.argsort(codes)
+    codes, counts = codes[order], counts[order]
+    first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    return codes[first], np.add.reduceat(counts, first)
+
+
+def _prefix_counts(table, tails, base: int) -> list:
+    """p(e - len(tails)), ..., p(e) from the ascending distinct length-e codes
+    and, for each shorter n, the codes of the last e - n length-n windows.
+    The other length-n windows have the codes (length-e code) // base^(e-n),
+    which ascend, so their steps count them."""
+    comp = []
+    for d, tail in zip(range(len(tails), 0, -1), tails):
+        prefix = table // base ** d
+        seen = prefix[np.searchsorted(prefix, tail).clip(max=prefix.size - 1)] == tail
+        comp.append(1 + int(np.count_nonzero(np.diff(prefix)))
+                    + len(set(tail[~seen].tolist())))
+    return comp + [table.size]
 
 
 def _block_statistics(values, k: int, n_max: int = 0):
-    """Histogram of the length-k windows, and p(1), ..., p(n_max) for n_max <= k.
-
-    One pass of the window codes serves both.  Distinct-window counts do
-    not depend on the encoding, so they equal `subword_complexity`'s.
-    """
+    """Histogram of the length-k windows, and p(1), ..., p(n_max) for n_max <= k."""
     values = np.asarray(values, dtype=np.int64)
+    return _window_statistics(lambda: [values], None, k, values.size, n_max)
+
+
+def _window_statistics(chunks, base, k: int, N: int, n_max: int):
+    """`_block_statistics` of the N symbols in [0, base) that chunks() yields,
+    from one count of the length-k windows; a base of None, or one whose k-th
+    power passes 2^62, is taken from the symbols seen."""
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
-    if values.size < k:
-        raise ValueError(f"sequence of length {values.size} has no window of length {k}")
-    if values.min() < 0:
-        raise ValueError("symbols must be >= 0")
-    base = int(values.max()) + 1
+    if N < k:
+        raise ValueError(f"sequence of length {N} has no window of length {k}")
+    if base is None or base ** k >= 1 << 62:
+        lo, hi = zip(*((int(x.min()), int(x.max())) for x in chunks()))
+        if min(lo) < 0:
+            raise ValueError("symbols must be >= 0")
+        base = max(hi) + 1
     if base ** k >= 1 << 62:
         raise ValueError("alphabet^k too large to encode windows")
-    complexity = []
-    for n, (codes, bound) in enumerate(_window_codes(values, base, k), 1):
-        if n <= n_max or n == k:
-            uniq, cnt = _count(codes, bound)
-            complexity.append(uniq.size)
-    blocks = uniq[:, None] // base ** np.arange(k - 1, -1, -1) % base
+    table, cnt, tails = _count_windows(chunks(), base, k, N - k + 1)
+    blocks = table[:, None] // base ** np.arange(k - 1, -1, -1) % base
     counts = dict(zip(map(tuple, blocks.tolist()), cnt.tolist()))
-    hist = BlockHistogram(k=k, counts=counts, total=values.size - k + 1)
-    return hist, complexity[:n_max]
+    hist = BlockHistogram(k=k, counts=counts, total=N - k + 1)
+    return hist, _prefix_counts(table, tails, base)[:n_max] if n_max else []
 
 
 def block_histogram(values, k: int) -> BlockHistogram:
@@ -193,7 +242,10 @@ def subword_complexity(values, n_max: int) -> list:
 
     These are lower bounds for the complexity of the infinite sequence.
     Symbols are shifted by their minimum, or ranked if their span exceeds
-    the prefix length N, so window codes stay below N * base.
+    the prefix length N, so base <= N.  The longest windows are counted
+    once and each shorter p(n) read off their codes (`_prefix_counts`).
+    Past 2^62 the ranks of the length-e windows become the symbols, whose
+    windows of length n are the old ones of length n + e - 1.
     """
     values = np.asarray(values, dtype=np.int64)
     if n_max < 1:
@@ -205,36 +257,50 @@ def subword_complexity(values, n_max: int) -> list:
         uniq, symbols = np.unique(values, return_inverse=True)
         base = uniq.size
     else:
-        symbols, base = values - lo, hi - lo + 1
-    return [_count(codes, bound)[0].size
-            for codes, bound in _window_codes(symbols, base, n_max)]
+        symbols, base = values - lo if lo else values, hi - lo + 1
+    comp, offset = [], 0
+    while True:
+        e = 1  # at most 62, so that a constant prefix keeps its tails short
+        while offset + e < n_max and max(base, 2) ** (e + 1) <= 1 << 62:
+            e += 1
+        table, _, tails = _count_windows([symbols], base, e, symbols.size - e + 1)
+        comp[offset:] = _prefix_counts(table, tails, base)
+        if offset + e == n_max:
+            return comp
+        *_, codes = _window_codes(symbols.copy(), symbols, base, e)
+        base, symbols, offset = table.size, np.searchsorted(table, codes), offset + e - 1
 
 
 def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
     """Counts of each phase sum_l num_l * b((n+l)^2) mod m' between grid points.
 
     Row i counts n in [grid[i-1], grid[i]), and row 0 counts n < grid[0].
-    b(n^2) mod m' comes from `stream`, exact for squares up to
-    2^126, in chunks of 2^16 phases that each read k - 1 squares past
-    their end, so memory stays O(chunk) for any N.
+    b(n^2) mod m' comes chunk by chunk from `_chunks`, exact for squares up
+    to 2^126; the last k - 1 values of a chunk carry over to the next, and
+    phases stay in int16 where k (m' - 1)^2 fits, so memory stays O(chunk)
+    for any N.
     """
     if alpha.m_prime != f.m_prime:
         raise ValueError("alpha and function moduli differ")
-    chunk, top = 1 << 16, grid[-1]
-    counts = np.zeros((len(grid), f.m_prime), dtype=np.int64)
-    for s in range(0, top, chunk):
-        c = min(chunk, top - s)
-        bsq = stream(f, SQUARE, s, c + alpha.k - 1)
-        phases = np.zeros(c, dtype=np.int64)
+    k, mp = alpha.k, f.m_prime
+    counts = np.zeros((len(grid), mp), dtype=np.int64)
+    dtype = np.int16 if k * (mp - 1) ** 2 < 1 << 15 else np.int64
+    bsq, s = np.zeros(0, dtype), 0   # phases before s are counted
+    for b in _chunks(f, SQUARE, 0, grid[-1] + k - 1):
+        bsq = np.concatenate((bsq[bsq.size - k + 1:], b))
+        del b  # the next chunk's temporaries reuse its memory
+        c = bsq.size - k + 1
+        phases = np.zeros(c, bsq.dtype)
         for ell, num in enumerate(alpha.numerators):
             if num:
                 phases += num * bsq[ell:ell + c]
-        _rem(phases, f.m_prime, out=phases)
+        _rem(phases, mp, out=phases)
         i, lo = bisect.bisect_right(grid, s), s   # grid[i] is the next cut
         while lo < s + c:
             hi = min(grid[i], s + c)
-            counts[i] += np.bincount(phases[lo - s:hi - s], minlength=f.m_prime)
+            counts[i] += np.bincount(phases[lo - s:hi - s], minlength=mp)
             i, lo = i + 1, hi
+        s += c
     return counts
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -266,47 +267,59 @@ def _emit_b(f: DigitalFunction, index_map: IndexMap, start: int,
     return _emit_wide(g, _limb_digits(g), index_map, start, count)
 
 
-def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
-           chunk: int = 1 << 16, threads: int = 1) -> np.ndarray:
-    """Values b(map(t)) mod m' for t in [start, start+count).
-
-    Work proceeds in chunks sized to stay cache-resident and is written
-    into one preallocated output, so throughput is flat in count.  The
-    chunk temporaries (two 512 KB int64 arrays and a few narrower ones)
-    also keep a 10^6-symbol call's heap growth under glibc's trim
-    threshold, so repeated calls reuse their pages instead of faulting
-    in about 3,000 fresh ones each.  A chunk whose
-    map values outgrow int64 is evaluated exactly on int64 limbs with
-    the same digit scan, so throughput also holds past 2^62.
-    threads > 1 fans chunks out to a thread pool of at most
-    os.cpu_count() workers; the ordered merge keeps output independent
-    of partitioning.
+def _chunks(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
+            chunk: int = 1 << 16, threads: int = 1):
+    """Iterator over b(map(t)) mod m' for t in [start, start+count), in
+    arrays of at most `chunk`, in the scan's accumulator dtype (int64 past
+    2^62).  The arguments are checked at the call.  threads > 1 runs chunks
+    on a pool of at most os.cpu_count() workers, at most two a worker in
+    flight, and yields them in order: output does not depend on the
+    partitioning, and memory is O(threads * chunk) for any count.
     """
     start, count = operator.index(start), operator.index(count)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if chunk < 1:  # a negative step would leave the output unwritten
+    if chunk < 1:  # a negative step would yield nothing
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     threads = min(threads, os.cpu_count() or 1)
     _map_range_check(index_map, start, count)
-    if count == 0:
-        return np.zeros(0, dtype=np.int64)
-
-    out = np.empty(count, dtype=np.int64)
     spans = [(s, min(chunk, start + count - s))
              for s in range(start, start + count, chunk)]
 
-    def fill(span):
-        s, c = span
-        b = _emit_b(f, index_map, s, c)
-        out[s - start:s - start + c] = _rem(b, f.m_prime, out=b)
+    def emit(span):
+        b = _emit_b(f, index_map, *span)
+        return _rem(b, f.m_prime, out=b)
 
-    if threads > 1 and len(spans) > 1:
+    def ordered():
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, spans))
-    else:
-        for span in spans:
-            fill(span)
+            pending = deque()
+            for span in spans:
+                pending.append(pool.submit(emit, span))
+                if len(pending) > 2 * threads:
+                    yield pending.popleft().result()
+            yield from (future.result() for future in pending)
+
+    return ordered() if threads > 1 and len(spans) > 1 else map(emit, spans)
+
+
+def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
+           chunk: int = 1 << 16, threads: int = 1) -> np.ndarray:
+    """Values b(map(t)) mod m' for t in [start, start+count), as int64.
+
+    The chunks of `_chunks`, sized to stay cache-resident, are copied into
+    one preallocated output, so throughput is flat in count.  Their
+    temporaries (two 512 KB int64 arrays and a few narrower ones) also keep
+    a 10^6-symbol call's heap growth under glibc's trim threshold, so
+    repeated calls reuse their pages instead of faulting in about 3,000
+    fresh ones each.  Map values past int64 are evaluated exactly on int64
+    limbs with the same digit scan, so throughput also holds past 2^62.
+    """
+    chunks = _chunks(f, index_map, start, count, chunk, threads)
+    out, pos = np.empty(count, dtype=np.int64), 0
+    for b in chunks:
+        out[pos:pos + b.size] = b
+        pos += b.size
+        del b  # so that the next chunk's temporaries reuse its memory
     return out
 
 

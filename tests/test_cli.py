@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -10,6 +13,8 @@ import pytest
 import digitseq as dq
 from digitseq import analytic as an
 from digitseq.cli import dispatch
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -309,6 +314,46 @@ def test_threads_below_one_rejected(capsys):
             assert dispatch(argv + ["--threads", threads]) == 2
             err = capsys.readouterr().err
             assert err == f"error: threads must be >= 1, got {threads}\n"
+
+
+def test_threads_give_identical_output(capsys, monkeypatch):
+    monkeypatch.setattr(dq.seqgen.os, "cpu_count", lambda: 2)
+    for argv in (["generate", "--preset", "rudin-shapiro", "--map", "square",
+                  "--count", str(3 * 2 ** 16 + 5)],
+                 ["generate", "--preset", "digit-sum:3", "--map", "square",
+                  "--count", str(2 ** 16 + 70), "--format", "csv"],
+                 ["stats", "--preset", "thue-morse", "--map", "square",
+                  "-N", str(3 * 2 ** 16 + 5), "-k", "8"],
+                 ["bench", "--preset", "rudin-shapiro", "--count", str(3 * 2 ** 16)]):
+        outs = [run(capsys, *argv, "--threads", threads) for threads in ("1", "2")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+# run one command in a child process and print its own peak RSS in kB.
+# ru_maxrss would not do: Linux carries it over fork and exec, so a child
+# of this test process reports at least the test process's own peak.
+PEAK_RSS = ("import sys\n"
+            "from digitseq.cli import dispatch\n"
+            "code = dispatch(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(status.split('VmHWM:')[1].split()[0], file=sys.stderr)\n"
+            "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--preset", "rudin-shapiro", "--map", "square", "-N", "10000000", "-k", "8"],
+    ["generate", "--preset", "rudin-shapiro", "--map", "square", "--count", "10000000"],
+], ids=["stats", "generate"])
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_long_prefixes_in_bounded_memory(argv):
+    # a whole int64 prefix of 10^7 symbols alone is 80 MB; stats and
+    # generate held it and peaked at 204 MB and 138 MB; importing takes 32
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
+                            env={**os.environ, "PYTHONPATH": path}, timeout=300,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stderr.split()[-1]) < 64 * 1024
 
 
 def test_spec_file_source(capsys, tmp_path):

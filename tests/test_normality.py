@@ -1,11 +1,20 @@
 """Block statistics, subword complexity and the correlation sum S0."""
 
+import bisect
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import digitseq as dq
-from digitseq.normality import AlphaVector, _block_statistics
+from digitseq import seqgen
+from digitseq.normality import (
+    AlphaVector,
+    _block_statistics,
+    _phase_counts,
+    _window_statistics,
+)
 from digitseq.phases import roots_of_unity
 
 
@@ -69,6 +78,37 @@ def reference_subword_complexity(values, n_max):
         codes = prev[:L] * nsym + ranks[n - 1:n - 1 + L]
         uniq, prev = np.unique(codes, return_inverse=True)
         out.append(int(uniq.size))
+    return out
+
+
+def per_length_complexity(values, n_max):
+    """p(1), ..., p(n_max) with every length's codes counted on their own:
+    the kernel that one count of the longest windows replaced.  Codes are
+    built in place, one multiply-add a length, and ranked before they pass
+    2^62; bins are counted where they are no more than the codes."""
+    values = np.asarray(values, dtype=np.int64)
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo + 1 > values.size:
+        uniq, symbols = np.unique(values, return_inverse=True)
+        base = uniq.size
+    else:
+        symbols, base = values - lo, hi - lo + 1
+    top = base ** min(n_max, 33)
+    dtype = next((t for t in (np.uint8, np.uint16, np.uint32)
+                  if top <= 1 << np.iinfo(t).bits), np.int64)
+    sym = symbols.astype(dtype)
+    codes, bound, out = sym.copy(), base, []
+    for n in range(1, n_max + 1):
+        if n > 1:
+            if bound * base > 1 << 62:
+                uniq, codes = np.unique(codes, return_inverse=True)
+                bound = uniq.size
+            codes = codes[:-1]
+            codes *= base
+            codes += sym[n - 1:]
+            bound *= base
+        out.append(int(np.count_nonzero(np.bincount(codes, minlength=bound)))
+                   if bound <= codes.size else np.unique(codes).size)
     return out
 
 
@@ -195,6 +235,114 @@ def test_complexity_handles_wide_symbols(rng):
                 == reference_subword_complexity(vals, 12))
 
 
+def test_complexity_past_2_62_matches_brute_force(rng):
+    # binary codes pass 2^62 at length 63, so n_max = N - 1 ranks the
+    # length-62 windows once or twice, and each run ends at its own length
+    for N in (63, 64, 70, 124, 125, 130):
+        for vals in (rng.integers(0, 2, N).tolist(), [0] * (N - 1) + [1], [1] * N):
+            want = [len({tuple(vals[i:i + n]) for i in range(N - n + 1)})
+                    for n in range(1, N)]
+            assert dq.subword_complexity(vals, N - 1) == want
+            assert per_length_complexity(vals, N - 1) == want
+
+
+def _edge_values(kind, size):
+    if kind == "squares":
+        return dq.stream(dq.preset("rudin-shapiro"), dq.SQUARE, 12345, size)
+    rng = np.random.default_rng(size)
+    if kind == "wide":  # 7^k bins outnumber the windows from k = 6 or 7 on
+        return np.resize(rng.integers(0, 7, 4999), size)
+    # a span far beyond the prefix length: the symbols are ranked first
+    return rng.choice(np.array([-(2 ** 62), -5, 0, 2 ** 40, 2 ** 63 - 1]), size)
+
+
+def _edge_lengths(k):
+    """Prefix lengths on both sides of the 2^16-symbol chunks, and of the
+    first buffer of 2^16 + k - 1 symbols."""
+    return sorted({n + d for n in (2 ** 16, 2 * 2 ** 16, 2 ** 16 + k - 1)
+                   for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("kind", ["squares", "wide", "ranked"])
+def test_one_count_at_chunk_edges(kind):
+    full = _edge_values(kind, 2 * 2 ** 16 + 1)
+    want = {}
+    for k in range(1, 9):
+        for N in _edge_lengths(k):
+            vals = full[:N]
+            if N not in want:
+                want[N] = per_length_complexity(vals, 8)
+            assert dq.subword_complexity(vals, k) == want[N][:k]
+            if kind != "ranked":
+                hist, comp = _block_statistics(vals, k, k)
+                assert comp == want[N][:k]
+                assert_same_histogram(hist, reference_block_histogram(vals, k))
+
+
+@pytest.mark.parametrize("chunk", [777, 2 ** 16])
+def test_streamed_windows_match_in_memory(chunk):
+    # the counts of `stats`: windows across stream chunks and buffers
+    f = dq.preset("rudin-shapiro")
+    for k in (1, 2, 5, 8):
+        for N in _edge_lengths(k):
+            hist, comp = _window_statistics(
+                lambda: seqgen._chunks(f, dq.SQUARE, 12345, N, chunk), 2, k, N, k)
+            want_hist, want_comp = _block_statistics(
+                dq.stream(f, dq.SQUARE, 12345, N), k, k)
+            assert_same_histogram(hist, want_hist)
+            assert comp == want_comp
+
+
+@pytest.mark.parametrize("chunk", [777, 2 ** 16, 3 * 2 ** 16])
+def test_sorted_counts_merge_across_buffers(rng, chunk):
+    # about 2^17 distinct windows in 2^16-symbol buffers: the table takes
+    # several merges; one whole chunk is one sort
+    vals = rng.integers(0, 7, 2 * 2 ** 16 + 1)
+    hist, comp = _window_statistics(
+        lambda: (vals[s:s + chunk] for s in range(0, vals.size, chunk)),
+        7, 8, vals.size, 8)
+    assert_same_histogram(hist, reference_block_histogram(vals, 8))
+    assert comp == per_length_complexity(vals, 8)
+
+
+def test_sorted_counts_stay_bounded_by_the_distinct_windows(rng):
+    # 2^24 symbols of period 4999, in 2^16-symbol buffers, k = 9: 7^9 bins
+    # would outnumber the windows, so each buffer sorts about 4999 distinct
+    # codes, and merges keep the table near 4999 codes, where one part per
+    # buffer would hold 256 x 4999 codes and counts (15 MB)
+    import tracemalloc
+    period = rng.integers(0, 7, 4999)
+    chunk = np.tile(period, 13)
+    reps = (1 << 24) // chunk.size
+    tracemalloc.start()
+    try:
+        hist, comp = _window_statistics(lambda: itertools.repeat(chunk, reps), 7, 9,
+                                        reps * chunk.size, 9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cycle = np.concatenate([period, period[:8]]).tolist()
+    assert sum(hist.counts.values()) == reps * chunk.size - 8
+    assert comp[-1] == len(hist.counts) == len({tuple(cycle[i:i + 9])
+                                                 for i in range(4999)})
+    assert peak < 8 * 2 ** 20
+
+
+def test_complexity_across_chunks_matches_brute_force():
+    vals = dq.stream(dq.preset("digit-sum", q=3), dq.SQUARE, 0, 2 ** 16 + 3)
+    lst = vals.tolist()
+    want = [len({tuple(lst[i:i + n]) for i in range(len(lst) - n + 1)})
+            for n in range(1, 9)]
+    assert dq.subword_complexity(vals, 8) == want
+    assert _block_statistics(vals, 8, 8)[1] == want
+
+
+def test_rerank_at_chunk_edges(rng):
+    for vals in (rng.integers(0, 2, 2 ** 16 + 1),
+                 np.resize(rng.integers(0, 2, 97), 2 ** 16 - 1)):
+        assert dq.subword_complexity(vals, 70) == per_length_complexity(vals, 70)
+
+
 def test_digit_sum_histogram_large_alphabet():
     # 10^8 possible blocks, far more than windows
     vals = dq.stream(dq.parse_preset("digit-sum:10"), dq.SQUARE, 0, 20000)
@@ -314,6 +462,40 @@ def test_chunked_phases_match_phase_table(name, nums, m_prime, grid):
     fit = dq.decay_exponent(f, alpha, grid)
     assert [r.value for r in fit.rows] == want
     assert [dq.exp_sum_S0(f, alpha, N) for N in grid] == want
+
+
+def reference_phase_counts(f, alpha, grid):
+    """The phase counts before the chunk iterator: each 2^16 int64 phases
+    from their own `stream` call, which reads k - 1 squares past them."""
+    chunk, top = 1 << 16, grid[-1]
+    counts = np.zeros((len(grid), f.m_prime), dtype=np.int64)
+    for s in range(0, top, chunk):
+        c = min(chunk, top - s)
+        bsq = dq.stream(f, dq.SQUARE, s, c + alpha.k - 1)
+        phases = np.zeros(c, dtype=np.int64)
+        for ell, num in enumerate(alpha.numerators):
+            if num:
+                phases += num * bsq[ell:ell + c]
+        phases %= f.m_prime
+        i, lo = bisect.bisect_right(grid, s), s
+        while lo < s + c:
+            hi = min(grid[i], s + c)
+            counts[i] += np.bincount(phases[lo - s:hi - s], minlength=f.m_prime)
+            i, lo = i + 1, hi
+    return counts
+
+
+@pytest.mark.parametrize("name", ["rudin-shapiro", "digit-sum:3,3", "digit-sum:10,7"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_phase_counts_match_stream_chunks(name, k):
+    # cuts at the chunk edges of the iterator (its chunks hold 2^16 squares,
+    # so the first holds 2^16 - k + 1 phases) and of the old 2^16 phases
+    f = dq.parse_preset(name)
+    alpha = AlphaVector([1, f.m_prime - 1, 0][:k][::-1] if k > 1 else [1], f.m_prime)
+    edges = (2 ** 16 - k + 1, 2 ** 16, 2 * 2 ** 16 - k + 1, 2 * 2 ** 16)
+    grid = sorted({1, 2 * 2 ** 16 + 5} | {e + d for e in edges for d in (-1, 0, 1)})
+    assert np.array_equal(_phase_counts(f, alpha, grid),
+                          reference_phase_counts(f, alpha, grid))
 
 
 def test_decay_exponent_memory_is_bounded(rudin_shapiro):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -141,9 +142,11 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            self.spans = list(items)
-            return map(fn, self.spans)
+        def submit(self, fn, span):
+            self.spans.append(span)
+            future = Future()
+            future.set_result(fn(span))
+            return future
 
     monkeypatch.setattr(seqgen, "ThreadPoolExecutor", RecordingPool)
     return made
@@ -174,6 +177,54 @@ def test_stream_wide_range_fans_out(rudin_shapiro, monkeypatch, pools):
                           for s in range(start, start + 5000, 999)]
     assert all(int(want[p]) == dq.eval_b(rudin_shapiro, (start + p) ** 2) % 2
                for p in range(0, 5000, 97))
+
+
+@pytest.mark.parametrize("chunk", [777, 1 << 16])
+def test_threads_give_identical_chunks(rudin_shapiro, monkeypatch, chunk):
+    monkeypatch.setattr(seqgen.os, "cpu_count", lambda: 2)
+    count = 3 * (1 << 16) + 5
+    one = list(seqgen._chunks(rudin_shapiro, dq.SQUARE, 10 ** 6, count, chunk))
+    two = list(seqgen._chunks(rudin_shapiro, dq.SQUARE, 10 ** 6, count, chunk,
+                              threads=2))
+    assert [(a.dtype, a.tobytes()) for a in one] == [(a.dtype, a.tobytes()) for a in two]
+    assert (dq.stream(rudin_shapiro, dq.SQUARE, 10 ** 6, count, chunk, threads=2).tobytes()
+            == dq.stream(rudin_shapiro, dq.SQUARE, 10 ** 6, count, chunk).tobytes())
+
+
+def test_threads_keep_few_chunks_in_flight(rudin_shapiro, monkeypatch):
+    # a chunk is evaluated when its result is read, so the submits ahead of
+    # the reads are the chunks held in flight
+    monkeypatch.setattr(seqgen.os, "cpu_count", lambda: 4)
+    events = []
+
+    class LazyPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, span):
+            events.append(1)
+
+            class Lazy:
+                def result(self):
+                    events.append(-1)
+                    return fn(span)
+
+            return Lazy()
+
+    monkeypatch.setattr(seqgen, "ThreadPoolExecutor", LazyPool)
+    chunks = seqgen._chunks(rudin_shapiro, dq.SQUARE, 0, 100 * 777, 777, threads=3)
+    first = next(chunks)
+    assert sum(e > 0 for e in events) == 2 * 3 + 1   # not all 100 chunks
+    got = np.concatenate([first, *chunks])
+    assert max(itertools.accumulate(events)) <= 2 * 3 + 1
+    assert got.tobytes() == dq.stream(rudin_shapiro, dq.SQUARE, 0, 100 * 777,
+                                      777).astype(got.dtype).tobytes()
 
 
 def test_sequence_stream_reads(thue_morse):
