@@ -5,7 +5,6 @@ from .budget import BudgetExceededError
 from .digital import (
     DigitalFunction,
     FunctionSpecError,
-    TruncationWindow,
     WitnessNotFoundError,
     check_gcd_conditions,
     check_recursion,

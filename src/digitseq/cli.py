@@ -112,9 +112,12 @@ def _cmd_stats(args) -> int:
     hist, comp = normality._window_statistics(chunks, f.m_prime, args.k, args.N,
                                               min(args.k, args.N - 1))
     report = normality.normality_deviation(hist, f.m_prime)
+    # hist.counts ascends; padding each symbol to one width keeps the labels
+    # distinct, and ascending as strings too
+    width = len(str(f.m_prime - 1))
+    counts = {"".join(str(s).zfill(width) for s in block): c
+              for block, c in hist.counts.items()}
     if args.report == "json":
-        counts = {"".join(map(str, block)): c
-                  for block, c in sorted(hist.counts.items())}
         _emit_json(args, {
             "inputs": {"map": index_map.describe(), "N": args.N, "k": args.k},
             "normality": report.to_dict(),
@@ -122,10 +125,7 @@ def _cmd_stats(args) -> int:
             "blocks": counts if len(counts) <= 1 << 12 else None,
         })
     else:
-        lines = ["block,count"]
-        for block, c in sorted(hist.counts.items()):
-            lines.append("".join(map(str, block)) + f",{c}")
-        _emit(args, "\n".join(lines) + "\n")
+        _emit(args, ["block,count\n", *(f"{b},{c}\n" for b, c in counts.items())])
     return 0
 
 
@@ -360,12 +360,6 @@ def _cmd_bench(args) -> int:
 # parser
 
 
-def _add_function_source(p):
-    p.add_argument("--preset", help="named function, e.g. rudin-shapiro, "
-                                    "thue-morse, digit-sum:10,5, block-ones:3")
-    p.add_argument("--spec-file", help="path to a function-spec text file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="digitseq",
@@ -373,76 +367,74 @@ def build_parser() -> argparse.ArgumentParser:
                     "statistics and verification toolbox",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # options shared by several commands, each declared once
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--preset", help="named function, e.g. rudin-shapiro, "
+                                         "thue-morse, digit-sum:10,5, block-ones:3")
+    source.add_argument("--spec-file", help="path to a function-spec text file")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1)
 
-    p = sub.add_parser("generate", help="stream sequence symbols")
-    _add_function_source(p)
+    p = sub.add_parser("generate", parents=[source, out, threads],
+                       help="stream sequence symbols")
     p.add_argument("--map", default="id")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--format", choices=("raw", "csv"), default="raw")
-    p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("stats", help="block frequencies of a stream prefix")
-    _add_function_source(p)
+    p = sub.add_parser("stats", parents=[source, out, threads],
+                       help="block frequencies of a stream prefix")
     p.add_argument("--map", default="id")
     p.add_argument("-N", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--report", choices=("csv", "json"), default="json")
-    p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("expsum", help="square-correlation sum over an N grid")
-    _add_function_source(p)
+    p = sub.add_parser("expsum", parents=[source, out],
+                       help="square-correlation sum over an N grid")
     p.add_argument("--alpha", required=True, help="numerators, e.g. 1,0")
     p.add_argument("--grid", required=True, help="N values, e.g. 1024,4096")
     p.add_argument("--report", choices=("csv", "json"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_expsum)
 
-    p = sub.add_parser("fourier", help="Fourier-term and transfer-matrix checks")
-    _add_function_source(p)
+    p = sub.add_parser("fourier", parents=[source, out],
+                       help="Fourier-term and transfer-matrix checks")
     p.add_argument("--alpha", required=True)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--check", required=True, choices=tuple(_FOURIER_CHECKS))
     p.add_argument("--samples", type=int, default=32)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_fourier)
 
     p = sub.add_parser("toolbox", help="analytic toolbox checks")
     tool = p.add_subparsers(dest="tool", required=True)
 
-    t = tool.add_parser("gauss")
+    t = tool.add_parser("gauss", parents=[out])
     t.add_argument("-a", type=int, required=True)
     t.add_argument("-b", type=int, required=True)
     t.add_argument("-m", type=int, required=True)
     t.add_argument("--n0", type=int, default=0)
     t.add_argument("--count", type=int, default=None,
                    help="incomplete sum length (omit for the full period)")
-    t.add_argument("--out")
     t.set_defaults(func=_cmd_toolbox)
 
-    t = tool.add_parser("vaaler")
+    t = tool.add_parser("vaaler", parents=[out])
     t.add_argument("--alpha", type=float, required=True)
     t.add_argument("--H", type=int, required=True)
     t.add_argument("--grid", type=int, default=1 << 12)
-    t.add_argument("--out")
     t.set_defaults(func=_cmd_toolbox)
 
-    t = tool.add_parser("vdc")
-    _add_function_source(t)
+    t = tool.add_parser("vdc", parents=[source, out])
     t.add_argument("--alpha", default="1")
     t.add_argument("--N", type=int, default=512)
     t.add_argument("--Q", type=int, default=1)
     t.add_argument("--R", type=int, default=4)
-    t.add_argument("--out")
     t.set_defaults(func=_cmd_toolbox)
 
-    t = tool.add_parser("carry")
-    _add_function_source(t)
+    t = tool.add_parser("carry", parents=[source, out])
     t.add_argument("--variant", choices=("shift", "decomposition"),
                    default="shift")
     t.add_argument("--nu", type=int, required=True)
@@ -453,26 +445,22 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--ell", type=int, default=1)
     t.add_argument("-s", type=int, default=1)
     t.add_argument("-r", type=int, required=True)
-    t.add_argument("--out")
     t.set_defaults(func=_cmd_toolbox)
 
-    t = tool.add_parser("sinsum")
+    t = tool.add_parser("sinsum", parents=[out])
     t.add_argument("-a", type=int, required=True)
     t.add_argument("-m", type=int, required=True)
     t.add_argument("-b", type=float, default=0.0)
     t.add_argument("-U", type=float, required=True)
     t.add_argument("-A", type=int, default=1)
-    t.add_argument("--out")
     t.set_defaults(func=_cmd_toolbox)
 
-    p = sub.add_parser("bench", help="throughput benchmark")
-    _add_function_source(p)
+    p = sub.add_parser("bench", parents=[source, out, threads],
+                       help="throughput benchmark")
     p.add_argument("--map", default="square")
     p.add_argument("--count", type=int, default=10_000_000)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--timing", action="store_true",
                    help="include wall-clock timings in the report")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
 
     return parser

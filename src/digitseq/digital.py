@@ -117,18 +117,6 @@ class DigitalFunction:
         return f"DigitalFunction({body}, |F|={self.table_size})"
 
 
-@dataclass(frozen=True)
-class TruncationWindow:
-    """Digit band [mu, lam): b_window = b_lam - b_mu."""
-
-    mu: int
-    lam: int
-
-    def __post_init__(self):
-        if not 0 <= self.mu <= self.lam:
-            raise ValueError(f"need 0 <= mu <= lam, got ({self.mu}, {self.lam})")
-
-
 _INTERNED = weakref.WeakValueDictionary()
 
 
@@ -223,11 +211,12 @@ def eval_b_truncated(f: DigitalFunction, n: int, lam: int) -> int:
     return total
 
 
-def eval_b_window(f: DigitalFunction, n: int, w: TruncationWindow) -> int:
-    """b_{mu,lam}(n) = b_lam(n) - b_mu(n), the weight of a digit band."""
-    period = f.q ** (w.lam + f.m - 1)
-    n = int(n) % period
-    return eval_b_truncated(f, n, w.lam) - eval_b_truncated(f, n, w.mu)
+def eval_b_window(f: DigitalFunction, n: int, mu: int, lam: int) -> int:
+    """b_{mu,lam}(n) = b_lam(n) - b_mu(n), the weight of the digit band [mu, lam)."""
+    if not 0 <= mu <= lam:
+        raise ValueError(f"need 0 <= mu <= lam, got ({mu}, {lam})")
+    n = int(n) % f.q ** (lam + f.m - 1)
+    return eval_b_truncated(f, n, lam) - eval_b_truncated(f, n, mu)
 
 
 def check_recursion(f: DigitalFunction, n1: int, n2: int, alpha: int,

@@ -670,7 +670,7 @@ def _window_report(ctx, name, h_samples, lam, width, c0, eta, margins_of):
         g = keys[s:s + fit, None]  # g q^i mod q^lam = (g mod q^(lam-i)) q^i
         margins = margins_of(_digit_matrices_at(ctx, -(g % q ** (lam - i)) * q ** i, top))
         lo[s:s + fit], rows[s:s + fit] = margins.min(axis=1), margins.argmin(axis=1)
-    lo, rows = (a[inv].reshape(len(hs), -1) for a in (lo, rows))  # numpy 1 flattens inv
+    lo, rows = lo[inv], rows[inv]
     b, w = np.unravel_index(np.argmin(lo), lo.shape)
     return ConditionReport(
         name=name, lam=lam, window=width, c0=c0, eta=eta,

@@ -162,16 +162,11 @@ def _prefix_counts(table, tails, base: int) -> list:
     return comp + [table.size]
 
 
-def _block_statistics(values, k: int, n_max: int = 0):
-    """Histogram of the length-k windows, and p(1), ..., p(n_max) for n_max <= k."""
-    values = np.asarray(values, dtype=np.int64)
-    return _window_statistics(lambda: [values], None, k, values.size, n_max)
-
-
 def _window_statistics(chunks, base, k: int, N: int, n_max: int):
-    """`_block_statistics` of the N symbols in [0, base) that chunks() yields,
-    from one count of the length-k windows; a base of None, or one whose k-th
-    power passes 2^62, is taken from the symbols seen."""
+    """Histogram of the length-k windows of the N symbols in [0, base) that
+    chunks() yields, and p(1), ..., p(n_max) for n_max <= k, from one count of
+    those windows; a base of None, or one whose k-th power passes 2^62, is
+    taken from the symbols seen."""
     if k < 1:
         raise ValueError(f"block length must be >= 1, got {k}")
     if N < k:
@@ -192,7 +187,8 @@ def _window_statistics(chunks, base, k: int, N: int, n_max: int):
 
 def block_histogram(values, k: int) -> BlockHistogram:
     """Count all length-k windows of the sequence."""
-    return _block_statistics(values, k)[0]
+    values = np.asarray(values, dtype=np.int64)
+    return _window_statistics(lambda: [values], None, k, values.size, 0)[0]
 
 
 @dataclass(frozen=True)

@@ -115,9 +115,6 @@ def parse_index_map(text: str) -> IndexMap:
     raise ValueError(f"unknown index map {text!r}")
 
 
-PRESET_NAMES = ("thue-morse", "rudin-shapiro", "digit-sum", "block-ones")
-
-
 def preset(name: str, **params) -> DigitalFunction:
     """Named digital functions.
 
@@ -126,32 +123,28 @@ def preset(name: str, **params) -> DigitalFunction:
     digit-sum             q=base, m_prime (default q): digit sum in base q
     block-ones            L: parity of all-ones blocks of length L in binary
     """
+    known = {"thue-morse": (), "rudin-shapiro": (), "digit-sum": ("q", "m_prime"),
+             "block-ones": ("L",)}
+    if name not in known:
+        raise ValueError(f"unknown preset {name!r}")
+    extra = sorted(params.keys() - known[name])
+    if extra:
+        raise ValueError(f"preset {name!r} got unexpected parameters {extra}")
     if name == "thue-morse":
-        _reject_params(name, params)
         return make_digital_function(2, 1, [0, 1], 2)
     if name == "rudin-shapiro":
-        _reject_params(name, params)
         return make_digital_function(2, 2, [0, 0, 0, 1], 2)
     if name == "digit-sum":
-        q = int(params.pop("q", 10))
-        m_prime = int(params.pop("m_prime", q))
-        _reject_params(name, params)
+        q = int(params.get("q", 10))
+        m_prime = int(params.get("m_prime", q))
         return make_digital_function(q, 1, list(range(q)), m_prime)
-    if name == "block-ones":
-        L = int(params.pop("L", 2))
-        _reject_params(name, params)
-        if L < 1:
-            raise ValueError(f"block length must be >= 1, got {L}")
-        budget_check("sum", 2 ** L, f"block-ones:{L} weight table")
-        table = [0] * (2 ** L)
-        table[-1] = 1
-        return make_digital_function(2, L, table, 2)
-    raise ValueError(f"unknown preset {name!r}")
-
-
-def _reject_params(name, params):
-    if params:
-        raise ValueError(f"preset {name!r} got unexpected parameters {sorted(params)}")
+    L = int(params.get("L", 2))
+    if L < 1:
+        raise ValueError(f"block length must be >= 1, got {L}")
+    budget_check("sum", 2 ** L, f"block-ones:{L} weight table")
+    table = [0] * (2 ** L)
+    table[-1] = 1
+    return make_digital_function(2, L, table, 2)
 
 
 def parse_preset(text: str) -> DigitalFunction:

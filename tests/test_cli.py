@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import mpmath
@@ -450,3 +451,32 @@ def test_statistics_match_golden_bytes(capsys, name, argv):
     assert code == 0
     golden = Path(__file__).parent / "data" / name
     assert out == golden.read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in GOLDEN] + [
+    ["generate", "--preset", "rudin-shapiro", "--map", "square", "--count", "1000"],
+    ["generate", "--preset", "digit-sum:12", "--count", "100", "--format", "csv"],
+    ["bench", "--preset", "digit-sum:10,7", "--count", "1000"],
+    ["toolbox", "vaaler", "--alpha", "0.5", "--H", "16"],
+], ids=[g[0] for g in GOLDEN] + ["generate-raw", "generate-csv", "bench", "vaaler"])
+def test_out_file_holds_the_printed_bytes(tmp_path, capsys, argv):
+    code, printed = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--out", str(target)) == (code, "")
+    assert target.read_bytes() == printed.encode("ascii")
+
+
+def test_stats_labels_past_ten_symbols(capsys):
+    # m' = 12: symbols take two characters each, or (1, 11) and (11, 1) share "111"
+    argv = ["stats", "--preset", "digit-sum:12", "--map", "square",
+            "-N", "100000", "-k", "2"]
+    vals = dq.stream(dq.parse_preset("digit-sum:12"), dq.SQUARE, 0, 100000).tolist()
+    want = Counter(f"{a:02d}{b:02d}" for a, b in zip(vals, vals[1:]))
+    code, out = run(capsys, *argv)
+    assert code == 0
+    blocks = json.loads(out)["blocks"]
+    assert blocks == want and sum(blocks.values()) == 99999
+    code, out = run(capsys, *argv, "--report", "csv")
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [label for label, _ in rows] == sorted(want)
+    assert {label: int(c) for label, c in rows} == want

@@ -213,9 +213,12 @@ def test_is_normalized_matches_subzero_definition(rng, q, m):
 
 
 def test_window_examples(rudin_shapiro):
-    assert dq.eval_b_window(rudin_shapiro, 7, dq.TruncationWindow(0, 1)) == 1
-    assert dq.eval_b_window(rudin_shapiro, 7, dq.TruncationWindow(1, 2)) == 1
-    assert dq.eval_b_window(rudin_shapiro, 7, dq.TruncationWindow(3, 3)) == 0
+    assert dq.eval_b_window(rudin_shapiro, 7, 0, 1) == 1
+    assert dq.eval_b_window(rudin_shapiro, 7, 1, 2) == 1
+    assert dq.eval_b_window(rudin_shapiro, 7, 3, 3) == 0
+    for mu, lam in [(-1, 2), (3, 2)]:
+        with pytest.raises(ValueError, match=rf"need 0 <= mu <= lam, got \({mu}, {lam}\)"):
+            dq.eval_b_window(rudin_shapiro, 7, mu, lam)
 
 
 def test_truncation_exact_beyond_top_digit(rng, rudin_shapiro, thue_morse):
@@ -239,9 +242,8 @@ def test_truncation_periodicity(rng, rudin_shapiro):
 def test_band_many_matches_scalar(rng, rudin_shapiro):
     xs = rng.integers(0, 2 ** 40, 500)
     for mu, lam in [(0, 6), (2, 9), (5, 5)]:
-        w = dq.TruncationWindow(mu, lam)
         vec = eval_b_band_many(rudin_shapiro, xs, mu, lam)
-        assert all(int(v) == dq.eval_b_window(rudin_shapiro, int(x), w)
+        assert all(int(v) == dq.eval_b_window(rudin_shapiro, int(x), mu, lam)
                    for v, x in zip(vec, xs))
 
 
@@ -268,8 +270,7 @@ def test_band_kernel_matches_window(rng, q, m):
         # the top of the scan's range, x = period - 1, and of int64
         edges = [x for x in (period - 1, 2 ** 62 - 1, 2 ** 63 - 1) if x < 2 ** 63]
         args = np.concatenate([args, np.array(edges, dtype=np.int64)])
-        win = dq.TruncationWindow(mu, lam)
-        want = [dq.eval_b_window(g, int(x), win) for x in args]
+        want = [dq.eval_b_window(g, int(x), mu, lam) for x in args]
         assert eval_b_band_many(g, args, mu, lam).tolist() == want, (mu, lam)
 
 
@@ -385,8 +386,7 @@ def test_many_at_accumulator_limits(name, limit, narrow, wider, above):
     xs = np.concatenate([ns, ns - (1 << 62)])  # negative ones reduce to ns
     band = eval_b_band_many(g, xs, 0, lam)
     assert band.dtype == np.int64
-    win = dq.TruncationWindow(0, lam)
-    assert band.tolist() == [dq.eval_b_window(g, int(x), win) for x in xs]
+    assert band.tolist() == [dq.eval_b_window(g, int(x), 0, lam) for x in xs]
 
 
 def test_truncation_requires_normalized():
@@ -770,9 +770,8 @@ def test_bit_scan_matches_scalar(rng):
             paths.add(bit_path(f, lam - mu))
             xs = rng.integers(0, 2 ** 63 - 1, 60, dtype=np.int64, endpoint=True)
             xs[0] = 2 ** 63 - 1
-            win = dq.TruncationWindow(mu, lam)
             assert eval_b_band_many(f, xs, mu, lam).tolist() == \
-                [dq.eval_b_window(f, int(x), win) for x in xs], (f, mu, lam)
+                [dq.eval_b_window(f, int(x), mu, lam) for x in xs], (f, mu, lam)
     assert paths == {False, True}
 
 

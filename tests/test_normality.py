@@ -11,7 +11,6 @@ import digitseq as dq
 from digitseq import seqgen
 from digitseq.normality import (
     AlphaVector,
-    _block_statistics,
     _phase_counts,
     _window_statistics,
 )
@@ -197,7 +196,7 @@ def test_window_kernels_at_dtype_edges(edge, slack, n_max, seed):
     assert (dq.subword_complexity(vals, k)
             == reference_subword_complexity(vals, k))
     n_max = min(n_max, k)
-    hist, comp = _block_statistics(vals, k, n_max)
+    hist, comp = _window_statistics(lambda: [vals], None, k, vals.size, n_max)
     assert_same_histogram(hist, want)
     assert comp == (reference_subword_complexity(vals, n_max) if n_max else [])
 
@@ -274,7 +273,7 @@ def test_one_count_at_chunk_edges(kind):
                 want[N] = per_length_complexity(vals, 8)
             assert dq.subword_complexity(vals, k) == want[N][:k]
             if kind != "ranked":
-                hist, comp = _block_statistics(vals, k, k)
+                hist, comp = _window_statistics(lambda: [vals], None, k, N, k)
                 assert comp == want[N][:k]
                 assert_same_histogram(hist, reference_block_histogram(vals, k))
 
@@ -287,8 +286,8 @@ def test_streamed_windows_match_in_memory(chunk):
         for N in _edge_lengths(k):
             hist, comp = _window_statistics(
                 lambda: seqgen._chunks(f, dq.SQUARE, 12345, N, chunk), 2, k, N, k)
-            want_hist, want_comp = _block_statistics(
-                dq.stream(f, dq.SQUARE, 12345, N), k, k)
+            vals = dq.stream(f, dq.SQUARE, 12345, N)
+            want_hist, want_comp = _window_statistics(lambda: [vals], None, k, N, k)
             assert_same_histogram(hist, want_hist)
             assert comp == want_comp
 
@@ -334,7 +333,7 @@ def test_complexity_across_chunks_matches_brute_force():
     want = [len({tuple(lst[i:i + n]) for i in range(len(lst) - n + 1)})
             for n in range(1, 9)]
     assert dq.subword_complexity(vals, 8) == want
-    assert _block_statistics(vals, 8, 8)[1] == want
+    assert _window_statistics(lambda: [vals], None, 8, vals.size, 8)[1] == want
 
 
 def test_rerank_at_chunk_edges(rng):

@@ -58,12 +58,28 @@ def test_preset_parsing():
     assert parse_preset("digit-sum:10").m_prime == 10
     assert parse_preset("digit-sum:10,7").m_prime == 7
     assert parse_preset("block-ones:3").m == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown preset 'no-such-preset'$"):
         parse_preset("no-such-preset")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown preset 'no-such-preset'$"):
+        dq.preset("no-such-preset", x=1)
+    with pytest.raises(ValueError, match=r"^preset 'thue-morse' takes no parameters$"):
         parse_preset("thue-morse:3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^digit-sum takes at most two parameters, "
+                                         r"got 'digit-sum:10,7,2'$"):
+        parse_preset("digit-sum:10,7,2")
+    with pytest.raises(ValueError, match=r"^block-ones takes one parameter, "
+                                         r"got 'block-ones:3,2'$"):
+        parse_preset("block-ones:3,2")
+    for name in ("thue-morse", "rudin-shapiro", "digit-sum", "block-ones"):
+        with pytest.raises(ValueError, match=rf"^preset '{name}' got unexpected "
+                                             r"parameters \['x', 'z'\]$"):
+            dq.preset(name, z=1, x=2)
+    with pytest.raises(ValueError, match=r"^block length must be >= 1, got 0$"):
         dq.preset("block-ones", L=0)
+    # the parameter check comes before the block length check
+    with pytest.raises(ValueError, match=r"^preset 'block-ones' got unexpected "
+                                         r"parameters \['x'\]$"):
+        dq.preset("block-ones", L=0, x=1)
 
 
 def test_square_map_thue_morse(thue_morse):
