@@ -23,7 +23,6 @@ from .seqgen import (
     IDENTITY,
     SQUARE,
     IndexMap,
-    SequenceStream,
     affine,
     digits,
     parse_index_map,

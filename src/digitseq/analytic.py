@@ -64,11 +64,6 @@ class BoundedValue:
     def ok(self) -> bool:
         return self.margin >= -_TOL
 
-    def to_dict(self):
-        return {"re": self.value.real, "im": self.value.imag,
-                "abs": self.magnitude, "bound": self.bound,
-                "margin": self.margin, "ok": self.ok}
-
 
 def _quadratic_phase_sum(a: int, b: int, m: int, ns: np.ndarray) -> complex:
     phases = (a % m * (ns * ns % m) + b % m * ns) % m
@@ -450,41 +445,26 @@ def carry_decomposition_check(f: DigitalFunction, nu: int, mu: int, lam: int,
     big = q ** (lam + m - 1)
     vmod = q ** (lam - mu + m - 1)
     n = np.arange(q ** nu, dtype=np.int64)
-
-    def wide_ok(x: int) -> None:
-        if x * x >= 1 << 62:
-            raise OverflowError("shifted squares exceed the vectorized range")
-
-    wide_ok(q ** nu + ell + s * q ** (mu + m - 1) + r)
+    shift = s * q ** (mu + m - 1)
+    if (q ** nu + ell + shift + r) ** 2 >= 1 << 62:
+        raise OverflowError("shifted squares exceed the vectorized range")
 
     u1 = (n * n % big) // q ** mu_p
     u2 = ((n + r) * (n + r) % big) // q ** mu_p
     u3 = (2 * n % big) // q ** mu_p
     v = (2 * s * q ** (m - 1) * n) % vmod
-
-    def band_sq(base: np.ndarray) -> np.ndarray:
-        return eval_b_band_many(f, base * base, mu, lam)
-
-    def band_dec(args: np.ndarray) -> np.ndarray:
-        return eval_b_band_many(f, args, rho_prime, lam - mu + rho_prime)
-
-    shift = s * q ** (mu + m - 1)
-    lhs = [
-        band_sq(n + ell),
-        band_sq(n + ell + shift),
-        band_sq(n + r + ell),
-        band_sq(n + r + ell + shift),
-    ]
     rp = q ** rho_prime
-    rhs = [
-        band_dec(u1 + ell * u3),
-        band_dec(u1 + ell * u3 + v * rp + 2 * ell * s * q ** (m - 1) * rp),
-        band_dec(u2 + ell * u3),
-        band_dec(u2 + ell * u3 + v * rp + 2 * (ell + r) * s * q ** (m - 1) * rp),
-    ]
     bad = np.zeros(n.size, dtype=bool)
-    for left, right in zip(lhs, rhs):
-        bad |= left != right
+    # one identity at the bases n + e, e = ell and ell + r, each also
+    # shifted by s q^(mu+m-1), which adds v q^rho' + 2 e s q^(m-1+rho')
+    for u, e in ((u1, ell), (u2, ell + r)):
+        for t in (0, 1):
+            base = n + (e + t * shift)
+            arg = u + ell * u3
+            if t:
+                arg += v * rp + 2 * e * s * q ** (m - 1) * rp
+            bad |= (eval_b_band_many(f, base * base, mu, lam)
+                    != eval_b_band_many(f, arg, rho_prime, lam - mu + rho_prime))
     count = int(np.count_nonzero(bad))
     power = q ** (nu - rho_prime)
     return CarryDecomposition(nu=nu, mu=mu, lam=lam, rho_prime=rho_prime,

@@ -112,20 +112,20 @@ def _cmd_stats(args) -> int:
     hist, comp = normality._window_statistics(chunks, f.m_prime, args.k, args.N,
                                               min(args.k, args.N - 1))
     report = normality.normality_deviation(hist, f.m_prime)
-    # hist.counts ascends; padding each symbol to one width keeps the labels
-    # distinct, and ascending as strings too
+    # hist.counts ascends; padded to one width, the labels stay distinct and
+    # ascend as strings too; only the blocks printed get one
     width = len(str(f.m_prime - 1))
-    counts = {"".join(str(s).zfill(width) for s in block): c
-              for block, c in hist.counts.items()}
+    counts = (("".join(str(s).zfill(width) for s in block), c)
+              for block, c in hist.counts.items())
     if args.report == "json":
         _emit_json(args, {
             "inputs": {"map": index_map.describe(), "N": args.N, "k": args.k},
             "normality": report.to_dict(),
             "subword_complexity": comp,
-            "blocks": counts if len(counts) <= 1 << 12 else None,
+            "blocks": dict(counts) if len(hist.counts) <= 1 << 12 else None,
         })
     else:
-        _emit(args, ["block,count\n", *(f"{b},{c}\n" for b, c in counts.items())])
+        _emit(args, ["block,count\n", *(f"{b},{c}\n" for b, c in counts)])
     return 0
 
 
@@ -136,7 +136,7 @@ def _cmd_stats(args) -> int:
 def _cmd_expsum(args) -> int:
     f = _load_function(args)
     alpha = AlphaVector.parse(args.alpha, f.m_prime)
-    grid = [int(tok) for tok in args.grid.split(",")]
+    grid = seqgen.parse_ints(args.grid, "--grid")
     fit = normality.decay_exponent(f, alpha, grid)
     if args.report == "csv":
         lines = ["N,re,im,abs,log_ratio"]

@@ -757,9 +757,6 @@ class DecayProfileRow:
     g_avg: float          # avg_d |G_lam(h,d)|^2, brute force
     g_avg_matrix: float   # same quantity through the matrix recursion
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class DecayProfile:
@@ -1084,9 +1081,6 @@ class UniformDecayRow:
     bound: float      # scale * g_max
     ratio: float
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class UniformDecayReport:
@@ -1094,9 +1088,6 @@ class UniformDecayReport:
     m1: int
     rows: tuple
     empirical_constant: float
-
-    def violations(self, constant_cap: float):
-        return [r for r in self.rows if r.ratio > constant_cap]
 
     def to_dict(self):
         return asdict(self)

@@ -14,7 +14,6 @@ bit for bit.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
@@ -24,7 +23,7 @@ import numpy as np
 from .budget import check as budget_check
 from .digital import DigitalFunction, _rem
 from .phases import roots_of_unity
-from .seqgen import SQUARE, _chunks
+from .seqgen import SQUARE, _chunks, parse_ints
 
 
 @dataclass(frozen=True)
@@ -63,7 +62,7 @@ class AlphaVector:
 
     @classmethod
     def parse(cls, text: str, m_prime: int) -> "AlphaVector":
-        return cls(tuple(int(tok) for tok in text.split(",")), m_prime)
+        return cls(tuple(parse_ints(text, "alpha")), m_prime)
 
 
 @dataclass
@@ -271,32 +270,27 @@ def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
     """Counts of each phase sum_l num_l * b((n+l)^2) mod m' between grid points.
 
     Row i counts n in [grid[i-1], grid[i]), and row 0 counts n < grid[0].
-    b(n^2) mod m' comes chunk by chunk from `_chunks`, exact for squares up
-    to 2^126; the last k - 1 values of a chunk carry over to the next, and
-    phases stay in int16 where k (m' - 1)^2 fits, so memory stays O(chunk)
-    for any N.
+    Each row reads its own squares, k - 1 past its end, chunk by chunk
+    from `_chunks`, exact for squares up to 2^126; the last k - 1 values
+    of a chunk carry over to the next, and phases stay in int16 where
+    k (m' - 1)^2 fits, so memory stays O(chunk) for any N.
     """
     if alpha.m_prime != f.m_prime:
         raise ValueError("alpha and function moduli differ")
     k, mp = alpha.k, f.m_prime
     counts = np.zeros((len(grid), mp), dtype=np.int64)
     dtype = np.int16 if k * (mp - 1) ** 2 < 1 << 15 else np.int64
-    bsq, s = np.zeros(0, dtype), 0   # phases before s are counted
-    for b in _chunks(f, SQUARE, 0, grid[-1] + k - 1):
-        bsq = np.concatenate((bsq[bsq.size - k + 1:], b))
-        del b  # the next chunk's temporaries reuse its memory
-        c = bsq.size - k + 1
-        phases = np.zeros(c, bsq.dtype)
-        for ell, num in enumerate(alpha.numerators):
-            if num:
-                phases += num * bsq[ell:ell + c]
-        _rem(phases, mp, out=phases)
-        i, lo = bisect.bisect_right(grid, s), s   # grid[i] is the next cut
-        while lo < s + c:
-            hi = min(grid[i], s + c)
-            counts[i] += np.bincount(phases[lo - s:hi - s], minlength=mp)
-            i, lo = i + 1, hi
-        s += c
+    for row, lo, hi in zip(counts, [0, *grid], grid):
+        bsq = np.zeros(0, dtype)
+        for b in _chunks(f, SQUARE, lo, hi - lo + k - 1):
+            bsq = np.concatenate((bsq[bsq.size - k + 1:], b))
+            del b  # the next chunk's temporaries reuse its memory
+            c = bsq.size - k + 1
+            phases = np.zeros(c, bsq.dtype)
+            for ell, num in enumerate(alpha.numerators):
+                if num:
+                    phases += num * bsq[ell:ell + c]
+            row += np.bincount(_rem(phases, mp, out=phases), minlength=mp)
     return counts
 
 

@@ -101,6 +101,14 @@ def affine(a: int, b: int) -> IndexMap:
     return IndexMap("affine", a, b)
 
 
+def parse_ints(text: str, name: str) -> list:
+    """The comma-separated integers of text, the value of input `name`."""
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{name}: expected comma-separated integers, got {text!r}") from None
+
+
 def parse_index_map(text: str) -> IndexMap:
     """Parse 'id', 'square' or 'affine:a,b'."""
     if text in ("id", "identity"):
@@ -108,10 +116,10 @@ def parse_index_map(text: str) -> IndexMap:
     if text == "square":
         return SQUARE
     if text.startswith("affine:"):
-        parts = text[len("affine:"):].split(",")
+        parts = parse_ints(text[len("affine:"):], "affine map")
         if len(parts) != 2:
             raise ValueError(f"affine map needs two parameters, got {text!r}")
-        return affine(int(parts[0]), int(parts[1]))
+        return affine(*parts)
     raise ValueError(f"unknown index map {text!r}")
 
 
@@ -150,7 +158,7 @@ def preset(name: str, **params) -> DigitalFunction:
 def parse_preset(text: str) -> DigitalFunction:
     """Parse 'thue-morse', 'digit-sum:10', 'digit-sum:10,7', 'block-ones:3'."""
     name, _, argtext = text.partition(":")
-    args = [int(tok) for tok in argtext.split(",")] if argtext else []
+    args = parse_ints(argtext, f"preset {name!r}") if argtext else []
     if name == "digit-sum" and args:
         params = {"q": args[0]}
         if len(args) > 1:
@@ -314,28 +322,3 @@ def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
         pos += b.size
         del b  # so that the next chunk's temporaries reuse its memory
     return out
-
-
-class SequenceStream:
-    """Single-consumer pull stream over b(map(t)) mod m'.
-
-    The t-th emitted value only depends on t, never on how reads were
-    batched.
-    """
-
-    def __init__(self, f: DigitalFunction, index_map: IndexMap = IDENTITY,
-                 start: int = 0):
-        self.f = f
-        self.index_map = index_map
-        self.position = operator.index(start)
-
-    def read(self, count: int) -> np.ndarray:
-        count = operator.index(count)
-        out = stream(self.f, self.index_map, self.position, count)
-        self.position += count
-        return out
-
-    def __iter__(self):
-        while True:
-            for v in self.read(1 << 14):
-                yield int(v)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from collections import Counter
 from itertools import combinations
 
 import mpmath
@@ -10,6 +11,8 @@ import pytest
 
 from digitseq import analytic as an
 from digitseq.budget import BudgetExceededError
+from digitseq.digital import eval_b_band_many, normalize
+from digitseq.seqgen import parse_preset
 
 
 def brute_gauss(a, b, m):
@@ -410,6 +413,81 @@ def test_carry_decomposition_small_case(rudin_shapiro):
     # identities hold for most n; exceptions stay within a small multiple
     assert res.exceptions < 2 ** 10
     assert res.exceptions <= 8 * res.expected_power
+
+
+def reference_carry_decomposition(f, nu, mu, lam, rho_prime, ell, s, r):
+    """The decomposition check with its four identities written out one by
+    one: eight band evaluations, the left sides first."""
+    q, m = f.q, f.m
+    if not 0 < mu < nu < lam:
+        raise ValueError(f"need 0 < mu < nu < lam, got ({mu},{nu},{lam})")
+    if not 2 * rho_prime <= mu <= nu - rho_prime:
+        raise ValueError(f"need 2 rho' <= mu <= nu - rho', got rho'={rho_prime}, mu={mu}")
+    if rho_prime < 0:
+        raise ValueError("rho' must be >= 0")
+    if lam - nu > 2 * (mu - rho_prime):
+        raise ValueError(f"need lam - nu <= 2(mu - rho'), got lam-nu={lam - nu}")
+    if ell < 1 or s < 1:
+        raise ValueError("ell and s must be >= 1")
+    if not (1 <= r and r * r <= q ** (lam - nu)):
+        raise ValueError(f"need 1 <= r <= q^((lam-nu)/2), got r={r}")
+    n = np.arange(q ** nu, dtype=np.int64)
+    if (q ** nu + ell + s * q ** (mu + m - 1) + r) ** 2 >= 1 << 62:
+        raise OverflowError("shifted squares exceed the vectorized range")
+    big, mu_p = q ** (lam + m - 1), mu - rho_prime
+    u1 = (n * n % big) // q ** mu_p
+    u2 = ((n + r) * (n + r) % big) // q ** mu_p
+    u3 = (2 * n % big) // q ** mu_p
+    v = (2 * s * q ** (m - 1) * n) % q ** (lam - mu + m - 1)
+    shift, rp = s * q ** (mu + m - 1), q ** rho_prime
+    lhs = [eval_b_band_many(f, x * x, mu, lam)
+           for x in (n + ell, n + ell + shift, n + r + ell, n + r + ell + shift)]
+    rhs = [eval_b_band_many(f, x, rho_prime, lam - mu + rho_prime) for x in (
+        u1 + ell * u3,
+        u1 + ell * u3 + v * rp + 2 * ell * s * q ** (m - 1) * rp,
+        u2 + ell * u3,
+        u2 + ell * u3 + v * rp + 2 * (ell + r) * s * q ** (m - 1) * rp)]
+    bad = np.zeros(n.size, dtype=bool)
+    for left, right in zip(lhs, rhs):
+        bad |= left != right
+    count = int(np.count_nonzero(bad))
+    power = q ** (nu - rho_prime)
+    return an.CarryDecomposition(nu=nu, mu=mu, lam=lam, rho_prime=rho_prime,
+                                 ell=ell, s=s, r=r, exceptions=count,
+                                 expected_power=power, constant=count / power)
+
+
+def _outcome(check, f, params):
+    try:
+        return check(f, **params)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_carry_decomposition_matches_four_identities():
+    # a seeded grid of parameter sets that pass every stated constraint,
+    # ell and s log-uniform so that some shifted squares pass 2^62
+    rng = np.random.default_rng(2021)
+    outcomes = Counter()
+    for name, top_nu in (("rudin-shapiro", 10), ("thue-morse", 10),
+                         ("digit-sum:3,3", 6), ("block-ones:3", 10)):
+        f = normalize(parse_preset(name))
+        valid = 0
+        while valid < 260:
+            nu = int(rng.integers(2, top_nu + 1))
+            mu = int(rng.integers(1, nu))
+            rho_prime = int(rng.integers(0, mu // 2 + 1))
+            if mu > nu - rho_prime:
+                continue
+            lam = int(rng.integers(nu + 1, nu + 2 * (mu - rho_prime) + 1))
+            params = dict(nu=nu, mu=mu, lam=lam, rho_prime=rho_prime,
+                          ell=int(2 ** rng.uniform(0, 16)), s=int(2 ** rng.uniform(0, 30)),
+                          r=int(rng.integers(1, math.isqrt(f.q ** (lam - nu)) + 1)))
+            got = _outcome(an.carry_decomposition_check, f, params)
+            assert got == _outcome(reference_carry_decomposition, f, params), (name, params)
+            outcomes[type(got).__name__] += 1
+            valid += 1
+    assert outcomes["CarryDecomposition"] >= 900 and outcomes["tuple"] >= 20, outcomes
 
 
 def test_carry_decomposition_validation(thue_morse):

@@ -480,3 +480,59 @@ def test_stats_labels_past_ten_symbols(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [label for label, _ in rows] == sorted(want)
     assert {label: int(c) for label, c in rows} == want
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "--preset", "digit-sum:x", "--count", "4"],
+     "preset 'digit-sum': expected comma-separated integers, got 'x'"),
+    (["generate", "--preset", "thue-morse", "--map", "affine:1,x", "--count", "4"],
+     "affine map: expected comma-separated integers, got '1,x'"),
+    (["expsum", "--preset", "thue-morse", "--alpha", "1", "--grid", "10,x"],
+     "--grid: expected comma-separated integers, got '10,x'"),
+    (["expsum", "--preset", "thue-morse", "--alpha", "1,x", "--grid", "10,20"],
+     "alpha: expected comma-separated integers, got '1,x'"),
+    (["fourier", "--preset", "rudin-shapiro", "--alpha", "1,x", "--lambda", "4",
+      "--check", "parseval"],
+     "alpha: expected comma-separated integers, got '1,x'"),
+    (["toolbox", "vdc", "--preset", "thue-morse", "--alpha", "1,x"],
+     "alpha: expected comma-separated integers, got '1,x'"),
+], ids=["preset", "map", "grid", "expsum-alpha", "fourier-alpha", "vdc-alpha"])
+def test_non_integer_text_names_its_input(capsys, argv, message):
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+# ROADMAP's negative control: condition 2 fails at lambda = 3 for digit-sum 3,2
+NEGATIVE_CONTROL = ["fourier", "--preset", "digit-sum:3,2", "--alpha", "1,1",
+                    "--lambda", "3", "--check", "cond2"]
+
+
+def test_failed_check_exits_1_and_still_reports(capsys):
+    assert dispatch(NEGATIVE_CONTROL) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check failed: fourier --check cond2 failed\n"
+    result = json.loads(captured.out)["result"]
+    assert result["ok"] is False and result["worst_at"] == [0, 3, 0]
+    assert len(result["violations"]) == 1
+    assert result["worst_margin"] == pytest.approx(-1.016e-4, rel=1e-3)
+
+
+def test_stats_rejects_windows_too_wide_to_encode(capsys):
+    assert dispatch(["stats", "--preset", "digit-sum:10", "-N", "100", "-k", "19"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alphabet^k too large to encode windows\n"
+
+
+def test_console_entry_point_exit_codes():
+    # python -m digitseq.cli runs main(), which hands dispatch's code to sys.exit
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    for argv, code in ((["generate", "--preset", "thue-morse", "--count", "8"], 0),
+                       (NEGATIVE_CONTROL, 1),
+                       (["generate", "--preset", "no-such-preset", "--count", "8"], 2)):
+        result = subprocess.run([sys.executable, "-m", "digitseq.cli", *argv],
+                                env={**os.environ, "PYTHONPATH": path}, timeout=120,
+                                capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+    assert result.stderr == "error: unknown preset 'no-such-preset'\n"

@@ -833,3 +833,10 @@ def test_spec_parse():
 def test_spec_parse_errors_carry_line_numbers(text, line):
     with pytest.raises(FunctionSpecError, match=f"line {line}"):
         dq.parse_function_spec(text)
+
+
+@pytest.mark.parametrize("xs", [[], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)],
+                         ids=["list", "int64", "uint8"])
+def test_band_of_no_arguments_is_empty_int64(rudin_shapiro, xs):
+    got = eval_b_band_many(rudin_shapiro, xs, 0, 4)
+    assert got.dtype == np.int64 and got.shape == (0,)

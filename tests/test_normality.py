@@ -487,14 +487,17 @@ def reference_phase_counts(f, alpha, grid):
 @pytest.mark.parametrize("name", ["rudin-shapiro", "digit-sum:3,3", "digit-sum:10,7"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_phase_counts_match_stream_chunks(name, k):
-    # cuts at the chunk edges of the iterator (its chunks hold 2^16 squares,
-    # so the first holds 2^16 - k + 1 phases) and of the old 2^16 phases
+    # cuts at the chunk edges of one iterator from 0 (its chunks hold 2^16
+    # squares, so the first holds 2^16 - k + 1 phases) and of the old 2^16
+    # phases; then segments long enough that their own iterators carry
+    # k - 1 squares across chunk edges, ending on either side of one
     f = dq.parse_preset(name)
     alpha = AlphaVector([1, f.m_prime - 1, 0][:k][::-1] if k > 1 else [1], f.m_prime)
     edges = (2 ** 16 - k + 1, 2 ** 16, 2 * 2 ** 16 - k + 1, 2 * 2 ** 16)
     grid = sorted({1, 2 * 2 ** 16 + 5} | {e + d for e in edges for d in (-1, 0, 1)})
-    assert np.array_equal(_phase_counts(f, alpha, grid),
-                          reference_phase_counts(f, alpha, grid))
+    for grid in (grid, [5, 2 ** 17 + 5, 2 ** 17 + 7, 3 * 2 ** 16 + 6, 3 * 2 ** 16 + 9]):
+        assert np.array_equal(_phase_counts(f, alpha, grid),
+                              reference_phase_counts(f, alpha, grid))
 
 
 def test_decay_exponent_memory_is_bounded(rudin_shapiro):
@@ -585,3 +588,19 @@ def test_decay_validation(thue_morse):
         dq.decay_exponent(thue_morse, AlphaVector((1,), 2), [1024])
     with pytest.raises(ValueError):
         dq.decay_exponent(thue_morse, AlphaVector((1,), 2), [1024, 512])
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: dq.block_histogram([-1, 0, 1], 1), "symbols must be >= 0"),
+    (lambda: dq.block_histogram(np.arange(10) * 10 ** 6, 4),
+     r"alphabet\^k too large to encode windows"),
+    (lambda: dq.subword_complexity([0, 1, 1, 0], 0), "n_max must be >= 1"),
+    (lambda: dq.exp_sum_S0(dq.preset("thue-morse"), AlphaVector((1,), 2), 0),
+     "N must be >= 1"),
+    (lambda: dq.decay_exponent(dq.preset("thue-morse"), AlphaVector((1,), 2), [0, 4]),
+     "grid entries must be >= 1"),
+    (lambda: AlphaVector((0,), 0), "m_prime must be >= 1"),
+], ids=["negative-symbol", "wide-alphabet", "n_max-0", "S0-N-0", "grid-0", "m_prime-0"])
+def test_input_validation_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

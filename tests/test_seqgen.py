@@ -14,7 +14,7 @@ from conftest import LIMIT_TABLES, LIMITS, limit_function
 from digitseq import seqgen
 from digitseq.budget import BudgetExceededError
 from digitseq.digital import _acc_dtype, _normalized
-from digitseq.seqgen import SequenceStream, parse_index_map, parse_preset
+from digitseq.seqgen import parse_index_map, parse_preset
 
 
 def test_digits_examples():
@@ -243,18 +243,16 @@ def test_threads_keep_few_chunks_in_flight(rudin_shapiro, monkeypatch):
                                       777).astype(got.dtype).tobytes()
 
 
-def test_sequence_stream_reads(thue_morse):
-    s = SequenceStream(thue_morse, dq.SQUARE)
-    a = s.read(5)
-    b = s.read(3)
-    assert np.concatenate([a, b]).tolist() == dq.stream(thue_morse, dq.SQUARE, 0, 8).tolist()
-
-
-def test_sequence_stream_iterates_across_reads(rudin_shapiro):
-    # iteration pulls 2^14 symbols a read; cross one read boundary
-    count = (1 << 14) + 100
-    got = list(itertools.islice(SequenceStream(rudin_shapiro, dq.SQUARE, 5), count))
-    assert got == dq.stream(rudin_shapiro, dq.SQUARE, 5, count).tolist()
+def test_stream_reads_from_a_moving_start(thue_morse, rudin_shapiro):
+    # a value depends on t alone, not on how the reads are batched
+    for f, start, sizes in ((thue_morse, 0, (5, 3)),
+                            (rudin_shapiro, 5, (1 << 14, 100, 1 << 16, 7))):
+        reads, t = [], start
+        for size in sizes:
+            reads.append(dq.stream(f, dq.SQUARE, t, size))
+            t += size
+        want = dq.stream(f, dq.SQUARE, start, t - start)
+        assert np.concatenate(reads).tolist() == want.tolist()
 
 
 def test_block_ones_table_is_budget_checked(monkeypatch):
@@ -521,9 +519,6 @@ def test_stream_numpy_integer_start(rudin_shapiro):
                                          range(start, start + 4))
         got = dq.stream(rudin_shapiro, dq.SQUARE, np.int64(start), np.int64(4))
         assert np.array_equal(got, want)
-        s = SequenceStream(rudin_shapiro, dq.SQUARE, start=np.int64(start))
-        assert np.array_equal(s.read(np.int64(4)), want)
-        assert type(s.position) is int and s.position == start + 4
 
 
 def test_stream_throughput_flat_past_vector_limit(rudin_shapiro):
