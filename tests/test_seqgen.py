@@ -243,16 +243,24 @@ def test_threads_keep_few_chunks_in_flight(rudin_shapiro, monkeypatch):
                                       777).astype(got.dtype).tobytes()
 
 
-def test_stream_reads_from_a_moving_start(thue_morse, rudin_shapiro):
+def _batched_reads(f, start, sizes):
     # a value depends on t alone, not on how the reads are batched
-    for f, start, sizes in ((thue_morse, 0, (5, 3)),
-                            (rudin_shapiro, 5, (1 << 14, 100, 1 << 16, 7))):
-        reads, t = [], start
-        for size in sizes:
-            reads.append(dq.stream(f, dq.SQUARE, t, size))
-            t += size
-        want = dq.stream(f, dq.SQUARE, start, t - start)
-        assert np.concatenate(reads).tolist() == want.tolist()
+    reads, t = [], start
+    for size in sizes:
+        reads.append(dq.stream(f, dq.SQUARE, t, size))
+        t += size
+    return np.concatenate(reads).tolist(), dq.stream(f, dq.SQUARE, start, t - start).tolist()
+
+
+def test_sequence_stream_reads(thue_morse):
+    got, want = _batched_reads(thue_morse, 0, (5, 3))
+    assert got == want
+
+
+def test_sequence_stream_iterates_across_reads(rudin_shapiro):
+    # reads that cross the 2^14 and 2^16 symbol boundaries
+    got, want = _batched_reads(rudin_shapiro, 5, (1 << 14, 100, 1 << 16, 7))
+    assert got == want
 
 
 def test_block_ones_table_is_budget_checked(monkeypatch):
