@@ -9,6 +9,7 @@ byte-identical output unless --timing is given.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -100,6 +101,12 @@ def _cmd_generate(args) -> int:
 # stats
 
 
+def _decimal(values, width: int) -> np.ndarray:
+    """Each row of values >= 0 as one row of ASCII digits, each zero-padded."""
+    digits = values[..., None] // 10 ** np.arange(width - 1, -1, -1) % 10
+    return (digits + ord("0")).astype(np.uint8).reshape(len(values), -1)
+
+
 def _cmd_stats(args) -> int:
     f = _load_function(args)
     index_map = seqgen.parse_index_map(args.map)
@@ -112,20 +119,30 @@ def _cmd_stats(args) -> int:
     hist, comp = normality._window_statistics(chunks, f.m_prime, args.k, args.N,
                                               min(args.k, args.N - 1))
     report = normality.normality_deviation(hist, f.m_prime)
-    # hist.counts ascends; padded to one width, the labels stay distinct and
-    # ascend as strings too; only the blocks printed get one
-    width = len(str(f.m_prime - 1))
-    counts = (("".join(str(s).zfill(width) for s in block), c)
-              for block, c in hist.counts.items())
+    # the codes ascend; padded to one width, the labels ascend as strings too
+    n, step, width = hist.codes.size, 1 << 16, len(str(f.m_prime - 1))
+
+    def rows(lo):  # "label,count\n" for up to 2^16 blocks, counts unpadded
+        tally = hist.tallies[lo:lo + step, None]
+        count = _decimal(tally, len(str(tally.max())))
+        count[:, :-1] *= np.logical_or.accumulate(count[:, :-1] != ord("0"), axis=1)
+        sep = np.full((len(count), 1), ord(","), np.uint8)
+        text = np.hstack([_decimal(hist.blocks(lo, lo + step), width), sep, count, sep])
+        text[:, -1] = ord("\n")
+        return text[text > 0].tobytes().decode("ascii")  # leading zeros were set to NUL
+
     if args.report == "json":
+        label = _decimal(hist.blocks(), width) if n <= 1 << 12 else None
         _emit_json(args, {
             "inputs": {"map": index_map.describe(), "N": args.N, "k": args.k},
             "normality": report.to_dict(),
             "subword_complexity": comp,
-            "blocks": dict(counts) if len(hist.counts) <= 1 << 12 else None,
+            "blocks": None if label is None else dict(zip(
+                label.view(f"S{label.shape[1]}")[:, 0].astype(str).tolist(),
+                hist.tallies.tolist())),
         })
     else:
-        _emit(args, ["block,count\n", *(f"{b},{c}\n" for b, c in counts)])
+        _emit(args, itertools.chain(["block,count\n"], map(rows, range(0, n, step))))
     return 0
 
 

@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .budget import check as budget_check
-from .digital import DigitalFunction, _rem
+from .digital import DigitalFunction, _int64_array, _rem
 from .phases import roots_of_unity
-from .seqgen import SQUARE, _chunks, parse_ints
+from .seqgen import SQUARE, _chunks, _windows, parse_ints
 
 
 @dataclass(frozen=True)
@@ -65,13 +66,25 @@ class AlphaVector:
         return cls(tuple(parse_ints(text, "alpha")), m_prime)
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockHistogram:
-    """Sliding-window counts of length-k blocks."""
+    """Sliding-window counts of length-k blocks: the ascending codes of the
+    blocks seen, each its block's base-`base` number, and their tallies."""
 
     k: int
-    counts: dict
     total: int
+    base: int
+    codes: np.ndarray
+    tallies: np.ndarray
+
+    def blocks(self, lo=0, hi=None) -> np.ndarray:
+        """Symbols of the lo-th to the hi-th block seen, one row each."""
+        return self.codes[lo:hi, None] // self.base ** np.arange(self.k - 1, -1, -1) % self.base
+
+    @cached_property
+    def counts(self) -> dict:
+        """{block tuple: count} in ascending order, built on first read."""
+        return dict(zip(map(tuple, self.blocks().tolist()), self.tallies.tolist()))
 
 
 def _window_codes(codes, symbols, base: int, k: int):
@@ -92,12 +105,11 @@ def _count_windows(chunks, base: int, k: int, windows: int):
     in [0, base) (base^k <= 2^62), their counts, and for n < k the codes of
     the last k - n length-n windows, which start no length-k window.
 
-    Symbols pass through one reused narrow buffer, k - 1 of them carried
-    over, and its codes are built in place beside it.  The bins add up
-    where there are no more of them than windows, over buffers of at least
-    2^16 and base^k symbols; else each buffer, of at least 2^16 and the
-    first chunk's symbols, is sorted, and its distinct codes merge into the
-    table once they outnumber it.  Memory: O(base^k or distinct + chunk).
+    Codes are built in place beside `_windows`' narrow buffer.  The bins add
+    up where there are no more of them than windows, over buffers of at
+    least 2^16 and base^k symbols; else each buffer, of at least 2^16 and
+    the first chunk's symbols, is sorted, and its distinct codes merge into
+    the table once they outnumber it.  Memory: O(base^k or distinct + chunk).
     """
     bound = base ** k
     dtype = next((t for t in (np.uint8, np.uint16, np.uint32)
@@ -106,31 +118,16 @@ def _count_windows(chunks, base: int, k: int, windows: int):
     parts = [(np.zeros(0, dtype), bins)]  # sparse: the table, then new parts
     chunks = iter(chunks)
     first = next(chunks)  # sorted: a whole array in memory is one sort
-    sym = np.empty(max(1 << 16, bins.size or first.size) + k - 1, dtype)
-
-    def count(n):
-        *_, codes = _window_codes(sym[:n].copy(), sym[:n], base, k)
+    size = max(1 << 16, bins.size or first.size)
+    for view in _windows(itertools.chain([first], chunks), size, k, dtype):
+        *_, codes = _window_codes(view.copy(), view, base, k)
         if bins.size:
             np.add(bins, np.bincount(codes, minlength=bound), out=bins)
         else:
             parts.append(np.unique(codes, return_counts=True))
             if sum(p[0].size for p in parts[1:]) >= parts[0][0].size:
                 parts[:] = [_merge(parts)]
-        sym[:k - 1] = sym[n - k + 1:n]
-        return k - 1
-
-    fill = 0
-    for x in itertools.chain([first], chunks):
-        while x.size:
-            take = min(x.size, sym.size - fill)
-            sym[fill:fill + take], x = x[:take], x[take:]
-            fill += take
-            if fill == sym.size:
-                fill = count(fill)
-        del x  # the next chunk's temporaries reuse its memory
-    if fill >= k:
-        count(fill)
-    last = sym[:k - 1]
+    last = view[view.size - k + 1:]  # the carry rewrote only the buffer's start
     tails = [t.copy() for t in _window_codes(last.copy(), last, base, k)]
     if bins.size:
         table = np.flatnonzero(bins)
@@ -178,15 +175,13 @@ def _window_statistics(chunks, base, k: int, N: int, n_max: int):
     if base ** k >= 1 << 62:
         raise ValueError("alphabet^k too large to encode windows")
     table, cnt, tails = _count_windows(chunks(), base, k, N - k + 1)
-    blocks = table[:, None] // base ** np.arange(k - 1, -1, -1) % base
-    counts = dict(zip(map(tuple, blocks.tolist()), cnt.tolist()))
-    hist = BlockHistogram(k=k, counts=counts, total=N - k + 1)
-    return hist, _prefix_counts(table, tails, base)[:n_max] if n_max else []
+    return (BlockHistogram(k, N - k + 1, base, table, cnt),
+            _prefix_counts(table, tails, base)[:n_max] if n_max else [])
 
 
 def block_histogram(values, k: int) -> BlockHistogram:
     """Count all length-k windows of the sequence."""
-    values = np.asarray(values, dtype=np.int64)
+    values = _int64_array(values)
     return _window_statistics(lambda: [values], None, k, values.size, 0)[0]
 
 
@@ -210,26 +205,17 @@ def normality_deviation(hist: BlockHistogram, m_prime: int) -> NormalityReport:
     A missing block means "not seen in this prefix"; only the deviation it
     induces is reported, no structural claim is made.
     """
-    if any(max(b) >= m_prime for b in hist.counts if b):
+    if hist.base > m_prime:  # the largest symbol seen, + 1, or m' itself
         raise ValueError("histogram contains symbols outside [0, m_prime)")
     p = float(m_prime) ** (-hist.k)
     expected = hist.total * p
-    possible = m_prime ** hist.k
-    missing = possible - len(hist.counts)
-    max_dev = p if missing > 0 else 0.0
-    chi = missing * expected
-    for c in hist.counts.values():
-        max_dev = max(max_dev, abs(c / hist.total - p))
-        chi += (c - expected) ** 2 / expected
-    return NormalityReport(
-        k=hist.k,
-        m_prime=m_prime,
-        total=hist.total,
-        max_deviation=max_dev,
-        chi_square=chi,
-        missing_blocks=missing,
-        expected_frequency=p,
-    )
+    missing = m_prime ** hist.k - hist.codes.size
+    max_dev = max(p if missing > 0 else 0.0,
+                  float(np.abs(hist.tallies / hist.total - p).max()))
+    terms = (hist.tallies - expected) ** 2 / expected  # added in order, as a loop would
+    chi = float(np.cumsum(np.r_[missing * expected, terms])[-1])
+    return NormalityReport(k=hist.k, m_prime=m_prime, total=hist.total, max_deviation=max_dev,
+                           chi_square=chi, missing_blocks=missing, expected_frequency=p)
 
 
 def subword_complexity(values, n_max: int) -> list:
@@ -242,7 +228,7 @@ def subword_complexity(values, n_max: int) -> list:
     Past 2^62 the ranks of the length-e windows become the symbols, whose
     windows of length n are the old ones of length n + e - 1.
     """
-    values = np.asarray(values, dtype=np.int64)
+    values = _int64_array(values)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if n_max >= values.size:
@@ -270,10 +256,9 @@ def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
     """Counts of each phase sum_l num_l * b((n+l)^2) mod m' between grid points.
 
     Row i counts n in [grid[i-1], grid[i]), and row 0 counts n < grid[0].
-    Each row reads its own squares, k - 1 past its end, chunk by chunk
-    from `_chunks`, exact for squares up to 2^126; the last k - 1 values
-    of a chunk carry over to the next, and phases stay in int16 where
-    k (m' - 1)^2 fits, so memory stays O(chunk) for any N.
+    Each row reads its own squares, k - 1 past its end, from `_chunks`
+    through `_windows`, exact for squares up to 2^126; phases stay in
+    int16 where k (m' - 1)^2 fits, so memory stays O(chunk) for any N.
     """
     if alpha.m_prime != f.m_prime:
         raise ValueError("alpha and function moduli differ")
@@ -281,10 +266,7 @@ def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
     counts = np.zeros((len(grid), mp), dtype=np.int64)
     dtype = np.int16 if k * (mp - 1) ** 2 < 1 << 15 else np.int64
     for row, lo, hi in zip(counts, [0, *grid], grid):
-        bsq = np.zeros(0, dtype)
-        for b in _chunks(f, SQUARE, lo, hi - lo + k - 1):
-            bsq = np.concatenate((bsq[bsq.size - k + 1:], b))
-            del b  # the next chunk's temporaries reuse its memory
+        for bsq in _windows(_chunks(f, SQUARE, lo, hi - lo + k - 1), 1 << 16, k, dtype):
             c = bsq.size - k + 1
             phases = np.zeros(c, bsq.dtype)
             for ell, num in enumerate(alpha.numerators):

@@ -316,9 +316,22 @@ def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
     limbs with the same digit scan, so throughput also holds past 2^62.
     """
     chunks = _chunks(f, index_map, start, count, chunk, threads)
-    out, pos = np.empty(count, dtype=np.int64), 0
-    for b in chunks:
-        out[pos:pos + b.size] = b
-        pos += b.size
-        del b  # so that the next chunk's temporaries reuse its memory
-    return out
+    return next(_windows(chunks, count, 1, np.int64), np.zeros(0, np.int64))  # one full view
+
+
+def _windows(chunks, size: int, k: int, dtype):
+    """The chunks' symbols as views of k to size + k - 1 of them in one reused
+    buffer, each view's last k - 1 carried to the start of the next, so each
+    length-k window lies in exactly one view."""
+    buf, fill = np.empty(size + k - 1, dtype), 0
+    for x in chunks:
+        while x.size:
+            take = min(x.size, buf.size - fill)
+            buf[fill:fill + take], x = x[:take], x[take:]
+            fill += take
+            if fill == buf.size:
+                yield buf
+                buf[:k - 1], fill = buf[fill - k + 1:], k - 1
+        del x  # the next chunk's temporaries reuse its memory
+    if fill >= k:
+        yield buf[:fill]

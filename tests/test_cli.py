@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 import digitseq as dq
-from digitseq import analytic as an
+from digitseq import analytic as an, normality
 from digitseq.cli import dispatch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -341,20 +341,24 @@ PEAK_RSS = ("import sys\n"
             "sys.exit(code)\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["stats", "--preset", "rudin-shapiro", "--map", "square", "-N", "10000000", "-k", "8"],
-    ["generate", "--preset", "rudin-shapiro", "--map", "square", "--count", "10000000"],
-], ids=["stats", "generate"])
+@pytest.mark.parametrize("argv,limit_mb", [
+    (["stats", "--preset", "rudin-shapiro", "--map", "square", "-N", "10000000", "-k", "8"], 64),
+    (["generate", "--preset", "rudin-shapiro", "--map", "square", "--count", "10000000"], 64),
+    (["stats", "--preset", "digit-sum:10", "--map", "square", "-N", "1000000", "-k", "7",
+      "--report", "csv"], 115),
+], ids=["stats", "generate", "stats-large-alphabet"])
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
-def test_long_prefixes_in_bounded_memory(argv):
+def test_long_prefixes_in_bounded_memory(argv, limit_mb):
     # a whole int64 prefix of 10^7 symbols alone is 80 MB; stats and
-    # generate held it and peaked at 204 MB and 138 MB; importing takes 32
+    # generate held it and peaked at 204 MB and 138 MB; importing takes 32.
+    # 238,343 distinct 7-blocks of digit sums took 124 MB with a tuple dict
+    # and a label string per block
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv],
                             env={**os.environ, "PYTHONPATH": path}, timeout=300,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     assert result.returncode == 0, result.stderr
-    assert int(result.stderr.split()[-1]) < 64 * 1024
+    assert int(result.stderr.split()[-1]) < limit_mb * 1024
 
 
 def test_spec_file_source(capsys, tmp_path):
@@ -480,6 +484,34 @@ def test_stats_labels_past_ten_symbols(capsys):
     rows = [line.split(",") for line in out.splitlines()[1:]]
     assert [label for label, _ in rows] == sorted(want)
     assert {label: int(c) for label, c in rows} == want
+
+
+@pytest.mark.parametrize("preset,N,k", [("digit-sum:12", 20000, 3), ("digit-sum:10", 100000, 4)],
+                         ids=["two-digit-symbols", "over-4096-blocks"])
+def test_stats_works_on_arrays_alone(capsys, monkeypatch, preset, N, k):
+    # labels built per block from the count dict, as stats once did
+    f = dq.parse_preset(preset)
+    hist = normality._window_statistics(lambda: [dq.stream(f, dq.SQUARE, 0, N)],
+                                        f.m_prime, k, N, 0)[0]
+    width = len(str(f.m_prime - 1))
+    want = "".join(f"{''.join(str(s).zfill(width) for s in block)},{c}\n"
+                   for block, c in hist.counts.items())
+
+    def unread(self):
+        raise AssertionError("stats read BlockHistogram.counts")
+
+    monkeypatch.setattr(normality.BlockHistogram, "counts", property(unread))
+    argv = ["stats", "--preset", preset, "--map", "square", "-N", str(N), "-k", str(k)]
+    code, out = run(capsys, *argv, "--report", "csv")
+    assert code == 0 and out == "block,count\n" + want
+    code, out = run(capsys, *argv)
+    blocks = json.loads(out)["blocks"]
+    assert code == 0
+    if len(hist.codes) > 1 << 12:
+        assert blocks is None
+    else:
+        assert blocks == {label: int(c) for label, c in
+                          (line.split(",") for line in want.split())}
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -2,6 +2,8 @@
 
 import bisect
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ import digitseq as dq
 from digitseq import seqgen
 from digitseq.normality import (
     AlphaVector,
+    NormalityReport,
     _phase_counts,
     _window_statistics,
 )
@@ -53,7 +56,25 @@ def reference_block_histogram(values, k):
             code, r = divmod(code, base)
             block.append(r)
         counts[tuple(reversed(block))] = c
-    return dq.BlockHistogram(k=k, counts=counts, total=values.size - k + 1)
+    return SimpleNamespace(k=k, counts=counts, total=values.size - k + 1)
+
+
+def reference_normality_deviation(hist, m_prime):
+    """The per-block loop over the count dict that the array form replaced."""
+    if any(max(b) >= m_prime for b in hist.counts if b):
+        raise ValueError("histogram contains symbols outside [0, m_prime)")
+    p = float(m_prime) ** (-hist.k)
+    expected = hist.total * p
+    possible = m_prime ** hist.k
+    missing = possible - len(hist.counts)
+    max_dev = p if missing > 0 else 0.0
+    chi = missing * expected
+    for c in hist.counts.values():
+        max_dev = max(max_dev, abs(c / hist.total - p))
+        chi += (c - expected) ** 2 / expected
+    return NormalityReport(k=hist.k, m_prime=m_prime, total=hist.total,
+                           max_deviation=max_dev, chi_square=chi,
+                           missing_blocks=missing, expected_frequency=p)
 
 
 def reference_subword_complexity(values, n_max):
@@ -377,6 +398,47 @@ def test_normality_deviation_range(rng):
 def test_normality_deviation_rejects_foreign_symbols():
     with pytest.raises(ValueError):
         dq.normality_deviation(dq.block_histogram([0, 3], 1), 2)
+
+
+@pytest.mark.parametrize("m_prime", [2, 3, 10, 12])
+def test_normality_deviation_matches_the_per_block_loop(m_prime):
+    # every report field bit for bit, from streams (base m') and from random
+    # arrays (base inferred), with blocks missing and with none missing
+    rng = np.random.default_rng(m_prime)
+    f = dq.preset("digit-sum", q=max(m_prime, 3), m_prime=m_prime)
+    missing = set()
+    for k in range(1, 7):
+        for n in (300, min(20 * m_prime ** k, 10 ** 5)):
+            vals = dq.stream(f, dq.SQUARE, 0, n)
+            streamed = _window_statistics(lambda: [vals], m_prime, k, n, 0)[0]
+            drawn = dq.block_histogram(rng.integers(0, m_prime, n), k)
+            for hist in (streamed, drawn):
+                got = dq.normality_deviation(hist, m_prime)
+                assert got == reference_normality_deviation(hist, m_prime)
+                missing.add(got.missing_blocks > 0)
+    assert missing == {False, True}
+
+
+def test_chi_square_squares_are_correctly_rounded():
+    # the loop squared by Python's `** 2`, which is libm pow (within 0.52 ulp);
+    # the arrays square exactly rounded, so here the sum moves by one ulp
+    hist = dq.block_histogram(np.repeat([0, 1, 2], [676696, 174263, 826861]), 1)
+    expected = hist.total * 3.0 ** -1
+    chi = 0.0
+    for c in hist.counts.values():
+        chi += (c - expected) * (c - expected) / expected
+    got = dq.normality_deviation(hist, 3).chi_square
+    assert got == chi
+    assert abs(got - reference_normality_deviation(hist, 3).chi_square) <= math.ulp(chi)
+
+
+@pytest.mark.parametrize("call", [
+    lambda values: dq.block_histogram(values, 1),
+    lambda values: dq.subword_complexity(values, 2),
+], ids=["block_histogram", "subword_complexity"])
+def test_float_symbols_are_rejected_not_truncated(call):
+    with pytest.raises(ValueError, match="arguments must be integers, got dtype float64"):
+        call([0.5, 1.7, 1.2, 0.1])
 
 
 def test_subword_complexity_thue_morse(thue_morse):
