@@ -145,6 +145,8 @@ def sinus_sum_checks(a: int, m: int, b: float, U: float, A: int = 1) -> SinusSum
     """
     if m < 1:
         raise ValueError("m must be >= 1")
+    if not (math.isfinite(U) and math.isfinite(b)):  # NaN slips past `U <= 0` below
+        raise ValueError(f"U and b must be finite, got U={U!r}, b={b!r}")
     if U <= 0:
         raise ValueError("U must be > 0")
     if A < 1:
@@ -327,10 +329,8 @@ def van_der_corput_check(z, Q: int, R: int) -> tuple:
     lhs = abs(zz.sum()) ** 2
     inner = float((np.abs(zz) ** 2).sum())
     cross = 0.0
-    for r in range(1, R):
+    for r in range(1, min(R, (N - 2) // Q + 1)):  # past it, no z_n pair is Q r apart
         top = N - Q * r - 1
-        if top < 1:
-            continue
         cross += (1 - r / R) * float((zz[Q * r:Q * r + top] @ zz[:top].conj()).real)
     rhs = (N + Q * R - Q) / R * (inner + 2 * cross)
     return float(lhs), float(rhs)

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from . import analytic, fourier, normality, seqgen
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, check as budget_check
 from .digital import (
     FunctionSpecError,
     WitnessNotFoundError,
@@ -244,6 +244,8 @@ _FOURIER_CHECKS = {
 def _cmd_fourier(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.check == "recursion" and args.lam < 2:
         # the check draws its depths from [2, lambda]
         raise ValueError(f"--check recursion needs --lambda >= 2, got {args.lam}")
@@ -295,6 +297,8 @@ def _cmd_toolbox(args) -> int:
         if args.grid < 1:
             raise ValueError(f"--grid must be >= 1, got {args.grid}")
         vp = analytic.vaaler_build(args.alpha, args.H)
+        # the evaluation's own check, before the grid is built
+        budget_check("sum", args.grid * (args.H + 1), "Vaaler evaluation")
         xs = np.arange(args.grid) / args.grid
         defect = float(vp.defect(xs).max())
         a_margin, b_margin = vp.coefficient_margins()
@@ -309,6 +313,7 @@ def _cmd_toolbox(args) -> int:
         alpha = AlphaVector.parse(args.alpha, f.m_prime)
         if len(alpha.numerators) != 1:
             raise ValueError(f"vdc takes one --alpha numerator, got {args.alpha!r}")
+        budget_check("sum", args.N, "Van der Corput sequence")
         phases = seqgen.stream(f, seqgen.SQUARE, 0, args.N)
         z = np.exp(2j * np.pi * alpha.numerators[0] * phases / f.m_prime)
         lhs, rhs = analytic.van_der_corput_check(z, args.Q, args.R)

@@ -516,45 +516,41 @@ def _digit_matrices_at(ctx, nums, dens) -> np.ndarray:
     return _digit_matrices(ctx, np.exp(2j * np.pi * ((eps * (nums % dens) % dens) / dens)))
 
 
-def _digit_products(ctx, A: np.ndarray, deltas=None) -> np.ndarray:
-    """Products of one-digit matrices, one factor per digit level t < j.
+def _digit_products(ctx, A: np.ndarray, deltas) -> np.ndarray:
+    """M^j_delta(z) per delta mod q^j, in the order of deltas: (..., len, nI, nI).
 
-    With A[..., t, d] = A_d(z^(q^t)), a level multiplies every kept prefix
-    by the level's digit matrices in one stacked product.  deltas None
-    keeps every prefix and gives the q^j products A[..., 0, s_0] ...
-    A[..., j-1, s_(j-1)], s_0 slowest: (..., q^j, nI, nI).  Given deltas,
-    a level keeps the residues mod q^(t+1) that some delta continues, so
-    deltas sharing low digits share leading factors, and the result is
-    M^j_delta(z) per delta mod q^j, in their order: (..., len, nI, nI).
+    With A[..., t, d] = A_d(z^(q^t)), level t multiplies the kept prefixes by
+    its digit matrices in one stacked product, keeping the residues mod q^(t+1)
+    that deltas continue, so deltas sharing low digits share leading factors.
     """
     q, j, nI, batch = ctx.q, A.shape[-4], A.shape[-1], A.shape[:-4]
-    want = None if deltas is None else [int(d) % q ** j for d in deltas]
-    if want == []:
-        raise ValueError("deltas must not be empty")
+    want = [int(d) % q ** j for d in deltas]
     F = A.swapaxes(-3, -2)  # F[..., t, :, d, :] = A_d(z^(q^t)): digits side by side
-    P, kept, lo, hi = None, [0], 0, q
+    P, kept = None, [0]
     for t in range(j):
-        if want is not None:
-            p = q ** t
-            res = {d % (q * p) for d in want}
-            lo, hi = min(res) // p, max(res) // p + 1
-            kept = [r + p * d for r in kept for d in range(lo, hi)]
+        p = q ** t
+        res = {d % (q * p) for d in want}
+        lo, hi = min(res) // p, max(res) // p + 1
+        kept = [r + p * d for r in kept for d in range(lo, hi)]
         if t == 0:
             P = A[..., 0, lo:hi, :, :]  # a view: each level's digits form one range
         else:  # every kept prefix times every digit matrix, one stacked product
             P = P.reshape(batch + (-1, nI)) @ F[..., t, :, lo:hi, :].reshape(batch + (nI, -1))
             P = P.reshape(batch + (-1, nI, hi - lo, nI)).swapaxes(-3, -2)
-        if want is not None and len(kept) > len(res):  # drop candidates no delta continues
+        if len(kept) > len(res):  # drop candidates no delta continues
             keep = [r in res for r in kept]
             P = P.reshape(batch + (-1, nI, nI))[..., keep, :, :]
             kept = [r for r in kept if r in res]
     if P is None:  # j = 0: the empty product
         P = np.broadcast_to(np.eye(nI, dtype=np.complex128), batch + (1, nI, nI)).copy()
     P = P.reshape(batch + (-1, nI, nI))
-    if want is None or kept == want:
-        return P
     pos = {r: i for i, r in enumerate(kept)}
-    return P[..., [pos[d] for d in want], :, :]
+    return P if kept == want else P[..., [pos[d] for d in want], :, :]
+
+
+def _low_digits_first(q: int, j: int, deltas) -> list:
+    """Positions of deltas < q^j by base-q digits, lowest first: `_digit_products`' order."""
+    return sorted(range(len(deltas)), key=lambda i: [deltas[i] // q ** t % q for t in range(j)])
 
 
 def _kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -575,10 +571,11 @@ def build_transfer_matrix(ctx: FourierContext, beta) -> TransferMatrix:
     q = ctx.q
     if isinstance(beta, tuple):
         num, den = int(beta[0]), int(beta[1])
-        zpow = np.array([e_frac(-eps * num, den) for eps in range(q)])
+        if not 0 < q * abs(den) <= 1 << 53:  # then eps num mod den and den are exact floats
+            raise ValueError(f"exact beta needs 0 < q |den| <= 2^53, got den = {den}")
+        A = _digit_matrices_at(ctx, -num % den, den)
     else:
-        zpow = np.exp(-2j * np.pi * float(beta) * np.arange(q))
-    A = _digit_matrices(ctx, zpow)
+        A = _digit_matrices(ctx, np.exp(-2j * np.pi * float(beta) * np.arange(q)))
     _, N = ctx.transfer_parts()
     return TransferMatrix(entries=_kron_sum(A, A.conj()) / q ** 3,
                           index=ctx.pair_labels(), path_counts=_kron_sum(N, N))
@@ -698,10 +695,11 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
     if lam < m0:
         raise ValueError(f"need lam >= m0 = {m0}")
     eta = float(ctx.q) ** (-3 * m0)
+    every = _low_digits_first(ctx.q, m0, range(ctx.q ** m0))  # each s once: no pruning
 
     def margins_of(A):
         K, nI = A.shape[0], A.shape[-1]
-        X = _digit_products(ctx, A).reshape(K, -1, nI * nI)
+        X = _digit_products(ctx, A, every).reshape(K, -1, nI * nI)
         # G[(i,j),(k,l)] is the window entry at row (i,k), column (j,l)
         G = np.abs(X.swapaxes(-1, -2) @ X.conj()).reshape(K, nI, nI, nI, nI)
         G *= eta
@@ -837,13 +835,21 @@ def small_matrix_M(ctx: FourierContext, j: int, delta: int, z: complex) -> Trans
                           index=ctx.index_vectors())
 
 
-def _root_grid_factors(ctx, j: int, grid: int) -> np.ndarray:
-    """A[s, t, d] = A_d(z^(q^t)) at z = e(s/grid), s < grid, t < j."""
+def _grid_row_sums(ctx, j: int, deltas: list, grid: int):
+    """(positions, sums) per chunk of products that fits _WINDOW_BYTES, formed
+    as read: sums[t, i, r] = sum_J |M^j_delta(e(t/grid))[r, J]| at the distinct
+    deltas[positions[i]], low digits first so that chunks share leading factors.
+    """
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
-    budget_check("sum", ctx.q ** j, "single-index matrix")
-    s = np.arange(grid, dtype=np.int64)[:, None]
-    return _digit_matrices_at(ctx, s * ctx.q ** np.arange(j, dtype=np.int64) % grid, grid)
+    q, nI = ctx.q, len(ctx.index_vectors())
+    budget_check("sum", q ** j, "single-index matrix")
+    if not deltas:
+        raise ValueError("deltas must not be empty")
+    A = _digit_matrices_at(ctx, np.arange(grid)[:, None] * q ** np.arange(j) % grid, grid)
+    order, fit = _low_digits_first(q, j, deltas), max(1, _WINDOW_BYTES // (16 * grid * nI * nI))
+    return ((pos, np.abs(_digit_products(ctx, A, [deltas[i] for i in pos])).sum(axis=-1))
+            for pos in (order[c:c + fit] for c in range(0, len(order), fit)))
 
 
 def small_matrix_norms_on_root_grid(ctx: FourierContext, j: int, delta,
@@ -853,10 +859,12 @@ def small_matrix_norms_on_root_grid(ctx: FourierContext, j: int, delta,
     delta is one int, giving shape (grid,), or a non-empty sequence of
     them, giving (grid, len(delta)).
     """
-    one = np.ndim(delta) == 0
-    P = _digit_products(ctx, _root_grid_factors(ctx, j, grid), [delta] if one else delta)
-    norms = np.abs(P).sum(axis=-1).max(axis=-1)
-    return norms[:, 0] if one else norms
+    keys, inv = np.unique(np.atleast_1d(delta) % ctx.q ** j, return_inverse=True)
+    rows = _grid_row_sums(ctx, j, keys.tolist(), grid)  # checks grid before out is sized
+    out = np.empty((grid, keys.size))
+    for pos, sums in rows:
+        out[:, pos] = sums.max(axis=-1)
+    return out[:, inv] if np.ndim(delta) else out[:, 0]
 
 
 @dataclass(frozen=True)
@@ -903,19 +911,10 @@ def prop2_saving_sweep(ctx: FourierContext, deltas=None,
     m1 = ctx.m1_single()
     eta_p = ctx.eta_single()
     p = ctx.q ** m1
-    bound = float(p) - eta_p
-    # each distinct M^m1_delta once, low digits first, so that a chunk's
-    # deltas share their leading factors
-    deltas = sorted(range(p) if deltas is None else {int(d) % p for d in deltas},
-                    key=lambda d: [d // ctx.q ** t % ctx.q for t in range(m1)])
-    if not deltas:
-        raise ValueError("deltas must not be empty")
-    A = _root_grid_factors(ctx, m1, grid)
-    fit = max(1, _WINDOW_BYTES // (16 * A[:, 0, 0].size))  # deltas whose products fit
-    worst = max(float(np.abs(_digit_products(ctx, A, deltas[s:s + fit])).sum(axis=-1).max())
-                for s in range(0, len(deltas), fit))
+    deltas = list({int(d) % p for d in (range(p) if deltas is None else deltas)})
+    worst = max(float(sums.max()) for _, sums in _grid_row_sums(ctx, m1, deltas, grid))
     slack = math.pi / grid * (p * (p - 1) // 2)
-    return SavingSweepReport(m1=m1, eta_prime=eta_p, bound=bound,
+    return SavingSweepReport(m1=m1, eta_prime=eta_p, bound=float(p) - eta_p,
                              deltas_checked=len(deltas), grid=grid, worst_norm=worst,
                              certified_upper=min(worst + slack, float(p)))
 

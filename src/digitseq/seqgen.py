@@ -123,6 +123,10 @@ def parse_index_map(text: str) -> IndexMap:
     raise ValueError(f"unknown index map {text!r}")
 
 
+_PRESET_PARAMS = {"thue-morse": (), "rudin-shapiro": (), "digit-sum": ("q", "m_prime"),
+                  "block-ones": ("L",)}
+
+
 def preset(name: str, **params) -> DigitalFunction:
     """Named digital functions.
 
@@ -131,11 +135,9 @@ def preset(name: str, **params) -> DigitalFunction:
     digit-sum             q=base, m_prime (default q): digit sum in base q
     block-ones            L: parity of all-ones blocks of length L in binary
     """
-    known = {"thue-morse": (), "rudin-shapiro": (), "digit-sum": ("q", "m_prime"),
-             "block-ones": ("L",)}
-    if name not in known:
+    if name not in _PRESET_PARAMS:
         raise ValueError(f"unknown preset {name!r}")
-    extra = sorted(params.keys() - known[name])
+    extra = sorted(params.keys() - _PRESET_PARAMS[name])
     if extra:
         raise ValueError(f"preset {name!r} got unexpected parameters {extra}")
     if name == "thue-morse":
@@ -158,6 +160,8 @@ def preset(name: str, **params) -> DigitalFunction:
 def parse_preset(text: str) -> DigitalFunction:
     """Parse 'thue-morse', 'digit-sum:10', 'digit-sum:10,7', 'block-ones:3'."""
     name, _, argtext = text.partition(":")
+    if name not in _PRESET_PARAMS:  # before its parameters, which may not fit any preset
+        raise ValueError(f"unknown preset {name!r}")
     args = parse_ints(argtext, f"preset {name!r}") if argtext else []
     if name == "digit-sum" and args:
         params = {"q": args[0]}
@@ -284,8 +288,8 @@ def _chunks(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     threads = min(threads, os.cpu_count() or 1)
     _map_range_check(index_map, start, count)
-    spans = [(s, min(chunk, start + count - s))
-             for s in range(start, start + count, chunk)]
+    spans = ((s, min(chunk, start + count - s))  # each formed as it is read
+             for s in range(start, start + count, chunk))
 
     def emit(span):
         b = _emit_b(f, index_map, *span)
@@ -300,7 +304,7 @@ def _chunks(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
                     yield pending.popleft().result()
             yield from (future.result() for future in pending)
 
-    return ordered() if threads > 1 and len(spans) > 1 else map(emit, spans)
+    return ordered() if threads > 1 and count > chunk else map(emit, spans)
 
 
 def stream(f: DigitalFunction, index_map: IndexMap, start: int, count: int,

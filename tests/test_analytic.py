@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 from collections import Counter
 from itertools import combinations
 
@@ -364,6 +365,33 @@ def test_vdc_sweep(rng):
 def test_vdc_validation():
     with pytest.raises(ValueError):
         an.van_der_corput_check(np.ones(4), 0, 1)
+
+
+def reference_vdc(z, Q, R):
+    """The inequality with its cross sum over every r < R, the terms past N skipped."""
+    N, zz = z.size, z[:z.size - 1]
+    cross = 0.0
+    for r in range(1, R):
+        top = N - Q * r - 1
+        if top >= 1:
+            cross += (1 - r / R) * float((zz[Q * r:Q * r + top] @ zz[:top].conj()).real)
+    inner = float((np.abs(zz) ** 2).sum())
+    return float(abs(zz.sum()) ** 2), float((N + Q * R - Q) / R * (inner + 2 * cross))
+
+
+def test_vdc_stops_where_no_pair_is_left(rng):
+    # no r with Q r >= N - 1 pairs two terms, so the loop ends there: the
+    # same floats as the full loop, and a huge R costs nothing
+    for _ in range(300):
+        n = int(rng.integers(0, 40))
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        Q, R = int(rng.integers(1, 8)), int(rng.integers(1, 60))
+        assert an.van_der_corput_check(z, Q, R) == reference_vdc(z, Q, R)
+    start = time.perf_counter()
+    z = np.exp(2j * np.pi * rng.uniform(size=512))
+    lhs, rhs = an.van_der_corput_check(z, 3, 10 ** 9)
+    assert time.perf_counter() - start < 1.0
+    assert lhs <= rhs
 
 
 # ----------------------------------------------------------------------

@@ -535,6 +535,39 @@ def test_non_integer_text_names_its_input(capsys, argv, message):
     assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["toolbox", "sinsum", "-a", "5", "-m", "64", "-U", "nan"],
+     "U and b must be finite, got U=nan, b=0.0"),
+    (["toolbox", "sinsum", "-a", "5", "-m", "64", "-U", "inf"],
+     "U and b must be finite, got U=inf, b=0.0"),
+    (["toolbox", "sinsum", "-a", "5", "-m", "64", "-U", "100", "-b", "nan"],
+     "U and b must be finite, got U=100.0, b=nan"),
+    (["toolbox", "vaaler", "--alpha", "0.3", "--H", "64", "--grid", str(10 ** 15)],
+     "Vaaler evaluation needs 65000000000000000 > budget 4194304 "
+     "(override with DIGITSEQ_BUDGET, hard limit 67108864)"),
+    (["toolbox", "vdc", "--preset", "thue-morse", "--N", "5000000"],
+     "Van der Corput sequence needs 5000000 > budget 4194304 "
+     "(override with DIGITSEQ_BUDGET, hard limit 67108864)"),
+    (["generate", "--preset", "rudin-shapirox:1", "--count", "4"],
+     "unknown preset 'rudin-shapirox'"),
+    (["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1", "--lambda", "4",
+      "--check", "parseval", "--seed", "-1"],
+     "--seed must be >= 0, got -1"),
+    (["generate", "--preset", "thue-morse", "--spec-file", "spec.txt", "--count", "4"],
+     "give either --preset or --spec-file, not both"),
+    (["fourier", "--preset", "rudin-shapiro", "--alpha", "1,0", "--lambda", "12",
+      "--check", "cond2"],
+     "condition 2 needs integral K; this alpha is wrong-branch"),
+], ids=["sinsum-U-nan", "sinsum-U-inf", "sinsum-b-nan", "vaaler-grid", "vdc-N",
+        "preset-name", "seed", "preset-and-spec-file", "cond2-non-integer-K"])
+def test_bad_input_exits_2_naming_its_fault(capsys, monkeypatch, argv, message):
+    # our own message, not a numpy one, and not a check read as failed or passed
+    monkeypatch.delenv("DIGITSEQ_BUDGET", raising=False)
+    assert dispatch(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
 # ROADMAP's negative control: condition 2 fails at lambda = 3 for digit-sum 3,2
 NEGATIVE_CONTROL = ["fourier", "--preset", "digit-sum:3,2", "--alpha", "1,1",
                     "--lambda", "3", "--check", "cond2"]

@@ -404,6 +404,26 @@ def test_transfer_path_counts(rs_ctx):
     assert np.all(three.sum(axis=1) == rs_ctx.q ** 9)
 
 
+def test_exact_beta_matrix_matches_per_eps_phases(rng):
+    # the factors of an exact beta = num/den are A_delta(z) with the powers
+    # z^eps = e_frac(-eps num, den) taken one at a time, to the bit
+    for name, nums in (("rudin-shapiro", (1, 1)), ("digit-sum:3,3", (1, 2)),
+                       ("digit-sum:10,7", (3,))):
+        f = dq.parse_preset(name)
+        ctx = fx.make_context(f, AlphaVector(nums, f.m_prime), 4)
+        for _ in range(20):
+            den = int(rng.choice([-1, 1])) * int(rng.integers(1, 3 ** 30))
+            num = int(rng.integers(-2 ** 62, 2 ** 62))
+            A = fx._digit_matrices(ctx, np.array([e_frac(-e * num, den) for e in range(f.q)]))
+            want = fx._kron_sum(A, A.conj()) / f.q ** 3
+            assert np.array_equal(fx.build_transfer_matrix(ctx, (num, den)).entries, want)
+    # past 2^53 the int64 phases would round or wrap: refused, not approximated
+    for den in (0, 2 ** 52 + 1, -(2 ** 60)):
+        with pytest.raises(ValueError, match=rf"^exact beta needs 0 < q \|den\| <= 2\^53, "
+                                             rf"got den = {den}$"):
+            fx.build_transfer_matrix(ctx, (1, den))
+
+
 def phi_bruteforce(ctx, I, I2, h, lam, lam_prime):
     """avg_{d < q^lam'} G_lam^I(h,d) conj(G_lam^I2(h,d)) by direct sum."""
     n = ctx.q ** lam_prime
@@ -731,6 +751,25 @@ def test_saving_sweep_memory_bounded_by_window_cap():
         tracemalloc.stop()
     assert rep.ok and rep.deltas_checked == 2 ** 12
     assert peak < 12 << 20
+
+
+def test_grid_norms_memory_bounded_and_equal_to_the_sweep():
+    # every delta < 2^12 at a 64-point grid: all products at once would take
+    # 4096 x 64 x 6^2 complex (151 MB); the norms come chunk by chunk, the
+    # sweep's chunks, so their maximum is the sweep's worst norm to the bit
+    ctx = fx.make_context(dq.preset("rudin-shapiro"), AlphaVector((1, 0), 2), 12)
+    ctx.transfer_parts()
+    tracemalloc.start()
+    try:
+        norms = fx.small_matrix_norms_on_root_grid(ctx, 12, range(2 ** 12), 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norms.shape == (64, 2 ** 12) and peak < 16 << 20
+    assert norms.max() == fx.prop2_saving_sweep(ctx, grid=64).worst_norm
+    for d in range(0, 2 ** 12, 257):
+        one = fx.small_matrix_norms_on_root_grid(ctx, 12, d, 64)
+        assert np.allclose(norms[:, d], one, rtol=1e-13, atol=0)
 
 
 # ----------------------------------------------------------------------

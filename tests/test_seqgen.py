@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -512,6 +513,24 @@ def test_stream_per_call_work_is_independent_of_table_size(name, start):
     for h, was in zip(helpers, before):
         assert h.cache_info().misses == was.misses, h
     assert _acc_dtype.cache_info().hits > before[0].hits
+
+
+def test_unknown_preset_is_named_before_its_parameters():
+    # the name is the fault, whatever its parameters say
+    for text in ("rudin-shapirox:1", "rudin-shapirox:x", "digitsum:10,7,2"):
+        with pytest.raises(ValueError, match=rf"^unknown preset '{text.partition(':')[0]}'$"):
+            parse_preset(text)
+
+
+def test_chunks_open_in_constant_memory(thue_morse):
+    # 10^11 symbols are 1.5M chunks; none is sized before it is read
+    tracemalloc.start()
+    try:
+        first = next(seqgen._chunks(thue_morse, dq.IDENTITY, 0, 10 ** 11))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.size == 1 << 16 and peak < 2 << 20
 
 
 def test_stream_rejects_empty_chunks(thue_morse):

@@ -302,17 +302,17 @@ def test_digit_products_match_block_product(case, batch, rng):
 
 
 def test_digit_products_keep_tree_order(case, rng):
-    # deltas None gives every product with the first digit slowest, the order
-    # condition 1 sums them in; the list of all deltas in that order prunes
-    # nothing, so it takes the same GEMMs and agrees bit for bit
+    # every delta low digits first, the order condition 1 sums the products
+    # in, is the order the levels build them: first digit slowest, nothing
+    # pruned or reordered
     ctx, _, _ = case
     q = ctx.q
     for j in (1, 2, 4):
         A = _random_factors(ctx, (4,), j, rng)
         tree = [sum(s // q ** (j - 1 - t) % q * q ** t for t in range(j)) for s in range(q ** j)]
-        got = fx._digit_products(ctx, A)
+        assert fx._low_digits_first(q, j, range(q ** j)) == tree
+        got = fx._digit_products(ctx, A, tree)
         assert got.shape == (4, q ** j) + A.shape[-2:]
-        assert np.array_equal(got, fx._digit_products(ctx, A, tree))
         want = np.stack([reference_block_product(ctx, A, d) for d in tree], axis=-3)
         assert np.abs(got - want).max() <= _product_tol(ctx, j)
 
