@@ -328,8 +328,9 @@ def van_der_corput_check(z, Q: int, R: int) -> tuple:
     zz = z[:N - 1]  # the inequality runs over z_1 .. z_{N-1}
     lhs = abs(zz.sum()) ** 2
     inner = float((np.abs(zz) ** 2).sum())
-    cross = 0.0
-    for r in range(1, min(R, (N - 2) // Q + 1)):  # past it, no z_n pair is Q r apart
+    cross, shifts = 0.0, min(R, (N - 2) // Q + 1)  # past it, no z_n pair is Q r apart
+    budget_check("sum", N * shifts, "Van der Corput cross sums")
+    for r in range(1, shifts):
         top = N - Q * r - 1
         cross += (1 - r / R) * float((zz[Q * r:Q * r + top] @ zz[:top].conj()).real)
     rhs = (N + Q * R - Q) / R * (inner + 2 * cross)

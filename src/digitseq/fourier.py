@@ -475,7 +475,7 @@ def g_recursion_residual(ctx: FourierContext, I, h: int, d: int, j: int,
         raise ValueError(f"delta must lie in [0, q^j), got {delta}")
     Is = ctx.index_vectors()
     lhs = fourier_G(ctx, I, h, p * d + delta, lam)
-    A = _digit_matrices_at(ctx, -h, ctx.q ** (lam - np.arange(j)))
+    A = _digit_matrices_at(ctx, -h, ctx.q ** lam, j)
     row = _digit_products(ctx, A, [delta])[0, Is.index(tuple(I))]
     rhs = complex(row @ _G(ctx, Is, h, d, lam - j)) / p
     return abs(lhs - rhs)
@@ -505,15 +505,25 @@ def _digit_matrices(ctx, zpow: np.ndarray) -> np.ndarray:
     return np.tensordot(zpow, ctx.transfer_parts()[0], axes=([-1], [1]))
 
 
-def _digit_matrices_at(ctx, nums, dens) -> np.ndarray:
-    """A_delta(e(num/den)) for broadcast arrays of int64 num and den.
+def _phase_schedule(q: int, nums, den: int, j: int) -> np.ndarray:
+    """num q^t mod den for t < j on a last axis, one multiply-mod at a time, once
+    0 < q |den| <= 2^53 is checked: then no product wraps and every eps r (eps < q,
+    |r| < |den|) is an exact float64 integer (docs/DECISIONS.md, 26)."""
+    if not 0 < q * abs(int(den)) <= 1 << 53:
+        raise ValueError(f"exact beta needs 0 < q |den| <= 2^53, got den = {den}")
+    r = np.asarray(nums % den, dtype=np.int64)
+    R = np.empty(r.shape + (j,), dtype=np.int64)
+    for t in range(j):
+        R[..., t], r = r, r * q % den
+    return R
 
-    Each phase eps num/den is reduced mod 1 in integers and divided before
-    the 2 pi, so equal rationals over any den give equal matrices.
-    """
-    nums, dens = np.asarray(nums)[..., None], np.asarray(dens)[..., None]
-    eps = np.arange(ctx.q, dtype=np.int64)
-    return _digit_matrices(ctx, np.exp(2j * np.pi * ((eps * (nums % dens) % dens) / dens)))
+
+def _digit_matrices_at(ctx, nums, den: int, j: int) -> np.ndarray:
+    """A_delta(e(num q^t/den)) for t < j: (..., j, q, nI, nI).  Each phase
+    eps (num q^t mod den)/den is divided before the 2 pi, so equal rationals
+    over any den give equal matrices."""
+    R = _phase_schedule(ctx.q, nums, den, j)[..., None] * np.arange(ctx.q) % den
+    return _digit_matrices(ctx, np.exp(2j * np.pi * (R / den)))
 
 
 def _digit_products(ctx, A: np.ndarray, deltas) -> np.ndarray:
@@ -553,10 +563,11 @@ def _low_digits_first(q: int, j: int, deltas) -> list:
     return sorted(range(len(deltas)), key=lambda i: [deltas[i] // q ** t % q for t in range(j)])
 
 
-def _kron_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """sum_delta A_delta (x) B_delta, rows and columns in pair order."""
-    n = A.shape[-1]
-    return np.einsum("dij,dkl->ikjl", A, B).reshape(n * n, n * n)
+def _kron_sum(P: np.ndarray) -> np.ndarray:
+    """sum_s P_s (x) conj(P_s) over axis -3 of P as [..., i, j, k, l], the entry at
+    row (i, k), column (j, l): one GEMM X^T conj(X), the P_s flattened to rows of X."""
+    X = P.reshape(P.shape[:-3] + (-1, P.shape[-1] ** 2))
+    return (X.swapaxes(-1, -2) @ X.conj()).reshape(P.shape[:-3] + P.shape[-1:] * 4)
 
 
 def build_transfer_matrix(ctx: FourierContext, beta) -> TransferMatrix:
@@ -568,17 +579,14 @@ def build_transfer_matrix(ctx: FourierContext, beta) -> TransferMatrix:
     M(beta) = q^-3 sum_delta A_delta(z) (x) conj(A_delta(z)), z = e(-beta),
     and path counts sum_delta N_delta (x) N_delta.
     """
-    q = ctx.q
+    q, labels = ctx.q, ctx.pair_labels()
     if isinstance(beta, tuple):
-        num, den = int(beta[0]), int(beta[1])
-        if not 0 < q * abs(den) <= 1 << 53:  # then eps num mod den and den are exact floats
-            raise ValueError(f"exact beta needs 0 < q |den| <= 2^53, got den = {den}")
-        A = _digit_matrices_at(ctx, -num % den, den)
+        A = _digit_matrices_at(ctx, -int(beta[0]), beta[1], 1)[0]
     else:
         A = _digit_matrices(ctx, np.exp(-2j * np.pi * float(beta) * np.arange(q)))
-    _, N = ctx.transfer_parts()
-    return TransferMatrix(entries=_kron_sum(A, A.conj()) / q ** 3,
-                          index=ctx.pair_labels(), path_counts=_kron_sum(N, N))
+    entries, counts = (_kron_sum(P).swapaxes(1, 2).reshape(len(labels), -1)
+                       for P in (A, ctx.transfer_parts()[1]))
+    return TransferMatrix(entries=entries / q ** 3, index=labels, path_counts=counts)
 
 
 def psi_vector(ctx: FourierContext, h: int, lam: int, lam_prime: int) -> np.ndarray:
@@ -591,11 +599,11 @@ def psi_vector(ctx: FourierContext, h: int, lam: int, lam_prime: int) -> np.ndar
     """
     if not 0 <= lam_prime <= lam:
         raise ValueError("need 0 <= lam' <= lam")
-    base = _G(ctx, ctx.index_vectors(), h, 0, lam - lam_prime)
+    base = _G(ctx, ctx.index_vectors(), h, 0, _check_depth(ctx, lam - lam_prime))
     X = np.outer(base, base.conjugate())
-    A = _digit_matrices_at(ctx, -h % ctx.q ** lam, ctx.q ** np.arange(1, lam + 1))
-    for ell in range(lam - lam_prime + 1, lam + 1):
-        F = A[ell - 1]
+    # A[t] at beta = h/q^(lam-t), formed for all lam: one GEMM shape, so one rounding, at any lam'
+    A = _digit_matrices_at(ctx, -h, ctx.q ** lam, lam)
+    for F in A[:lam_prime][::-1]:
         X = (F @ X @ F.conj().swapaxes(-1, -2)).sum(axis=0) / ctx.q ** 3
     return X.reshape(-1)
 
@@ -647,33 +655,31 @@ def _window_report(ctx, name, h_samples, lam, width, c0, eta, margins_of):
     """Report on every width-wide window, top ell_hi = lam down to width.
 
     The window at (h, ell_hi) is M(beta) M(q beta) ... M(q^(w-1) beta),
-    beta = g/q^lam with key g = (h mod q^ell_hi) q^(lam - ell_hi), so each
-    distinct key is formed once.  margins_of(A) maps the factors
-    A[key, i] = A_delta(e(-g q^i/q^lam)), i < width, of a batch of keys to
-    margins of shape (key, row).  The worst margin, where it fell and the
-    first 16 violations are read in h, then ell_hi order.
+    beta = g/q^lam with key g = h q^(lam - ell_hi) mod q^lam (the phase
+    schedule of h), so each distinct key is formed once.  margins_of(A)
+    maps the factors A[key, i] = A_delta(e(-g q^i/q^lam)), i < width, of a
+    batch of keys to margins of shape (key, row).  The worst margin, where
+    it fell and the first 16 violations are read in h, then ell_hi order.
     """
     if h_samples is None:
         h_samples = stratified_samples(ctx.q ** lam, 1 << 10)  # windows see h mod q^lam
     if len(h_samples) == 0:
         raise ValueError("h_samples must not be empty")
-    q, top = ctx.q, ctx.q ** lam
-    tops, i = np.arange(lam, width - 1, -1), np.arange(width)
-    hs = np.array([int(h) % top for h in h_samples], dtype=np.int64)[:, None]
-    keys, inv = np.unique(hs % q ** tops * q ** (lam - tops), return_inverse=True)
+    top = ctx.q ** lam
+    keys, inv = np.unique(_phase_schedule(ctx.q, np.array(h_samples, dtype=object), top,
+                                          lam - width + 1), return_inverse=True)
     fit = max(1, _WINDOW_BYTES // (16 * len(ctx.index_vectors()) ** 4))
     lo, rows = np.empty(keys.size), np.empty(keys.size, dtype=np.int64)
     for s in range(0, keys.size, fit):
-        g = keys[s:s + fit, None]  # g q^i mod q^lam = (g mod q^(lam-i)) q^i
-        margins = margins_of(_digit_matrices_at(ctx, -(g % q ** (lam - i)) * q ** i, top))
+        margins = margins_of(_digit_matrices_at(ctx, -keys[s:s + fit], top, width))
         lo[s:s + fit], rows[s:s + fit] = margins.min(axis=1), margins.argmin(axis=1)
     lo, rows = lo[inv], rows[inv]
     b, w = np.unravel_index(np.argmin(lo), lo.shape)
     return ConditionReport(
         name=name, lam=lam, window=width, c0=c0, eta=eta,
         h_count=len(h_samples), windows_checked=lo.size, worst_margin=float(lo[b, w]),
-        worst_at=(int(h_samples[b]), int(tops[w]), int(rows[b, w])),
-        violations=tuple((int(h_samples[b]), int(tops[w]), int(rows[b, w]), float(lo[b, w]))
+        worst_at=(int(h_samples[b]), lam - int(w), int(rows[b, w])),
+        violations=tuple((int(h_samples[b]), lam - int(w), int(rows[b, w]), float(lo[b, w]))
                          for b, w in np.argwhere(lo < -_EXACT_TOL)[:16]),
     )
 
@@ -698,13 +704,10 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
     every = _low_digits_first(ctx.q, m0, range(ctx.q ** m0))  # each s once: no pruning
 
     def margins_of(A):
-        K, nI = A.shape[0], A.shape[-1]
-        X = _digit_products(ctx, A, every).reshape(K, -1, nI * nI)
-        # G[(i,j),(k,l)] is the window entry at row (i,k), column (j,l)
-        G = np.abs(X.swapaxes(-1, -2) @ X.conj()).reshape(K, nI, nI, nI, nI)
+        G = np.abs(_kron_sum(_digit_products(ctx, A, every)))  # G[:, i, j, k, l]
         G *= eta
         return np.maximum(G[:, :, 0, :, 0] - eta / 2.0,
-                          (1.0 - eta) - G.sum(axis=(2, 4))).reshape(K, -1)
+                          (1.0 - eta) - G.sum(axis=(2, 4))).reshape(len(G), -1)
 
     return _window_report(ctx, "condition1", h_samples, lam, m0, eta / 2.0, eta,
                           margins_of)
@@ -723,11 +726,8 @@ def check_condition2(ctx: FourierContext, h_samples=None, lam=None) -> Condition
     m1 = ctx.m1_pair()
     eta = ctx.eta_pair()
     if not ctx.alpha.is_integer_K:
-        return ConditionReport(
-            name="condition2", lam=lam, window=m1, c0=0.0, eta=eta,
-            h_count=0, windows_checked=0, worst_margin=math.nan,
-            wrong_branch=True,
-        )
+        return ConditionReport(name="condition2", lam=lam, window=m1, c0=0.0, eta=eta, h_count=0,
+                               windows_checked=0, worst_margin=math.nan, wrong_branch=True)
     if lam < m1:
         raise ValueError(f"need lam >= m1 = {m1}")
 
@@ -846,7 +846,7 @@ def _grid_row_sums(ctx, j: int, deltas: list, grid: int):
     budget_check("sum", q ** j, "single-index matrix")
     if not deltas:
         raise ValueError("deltas must not be empty")
-    A = _digit_matrices_at(ctx, np.arange(grid)[:, None] * q ** np.arange(j) % grid, grid)
+    A = _digit_matrices_at(ctx, np.arange(grid), grid, j)
     order, fit = _low_digits_first(q, j, deltas), max(1, _WINDOW_BYTES // (16 * grid * nI * nI))
     return ((pos, np.abs(_digit_products(ctx, A, [deltas[i] for i in pos])).sum(axis=-1))
             for pos in (order[c:c + fit] for c in range(0, len(order), fit)))

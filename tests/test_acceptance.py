@@ -314,9 +314,9 @@ def test_criterion_10_generation_performance():
         dq.stream(f, dq.SQUARE, 0, count)
         return time.perf_counter() - t0
 
-    # best of 3 each, the sizes alternating, so that load from another
+    # best of 5 each, the sizes alternating, so that load from another
     # process lands on both sides of the ratio rather than on one
-    small, big = zip(*((seconds(10 ** 6), seconds(10 ** 7)) for _ in range(3)))
+    small, big = zip(*((seconds(10 ** 6), seconds(10 ** 7)) for _ in range(5)))
     t_small, t_big = min(small), min(big)
     ratio = t_big / t_small
     ok = t_big <= 5.0 and ratio <= 15.0

@@ -379,6 +379,18 @@ def reference_vdc(z, Q, R):
     return float(abs(zz.sum()) ** 2), float((N + Q * R - Q) / R * (inner + 2 * cross))
 
 
+def test_vdc_budgets_its_cross_sums(monkeypatch):
+    # N x min(R, (N - 2) // Q + 1) terms, checked before the quadratic loop
+    monkeypatch.delenv("DIGITSEQ_BUDGET", raising=False)
+    z = np.ones(1 << 16)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="^Van der Corput cross sums needs 4294901760 > "):
+        an.van_der_corput_check(z, 1, 1 << 16)
+    assert time.perf_counter() - start < 1.0
+    lhs, rhs = an.van_der_corput_check(z, 1 << 10, 1 << 16)  # 65536 x 64 terms
+    assert lhs <= rhs
+
+
 def test_vdc_stops_where_no_pair_is_left(rng):
     # no r with Q r >= N - 1 pairs two terms, so the loop ends there: the
     # same floats as the full loop, and a huge R costs nothing

@@ -548,6 +548,9 @@ def test_non_integer_text_names_its_input(capsys, argv, message):
     (["toolbox", "vdc", "--preset", "thue-morse", "--N", "5000000"],
      "Van der Corput sequence needs 5000000 > budget 4194304 "
      "(override with DIGITSEQ_BUDGET, hard limit 67108864)"),
+    (["toolbox", "vdc", "--preset", "thue-morse", "--N", "65536", "--R", "65536"],
+     "Van der Corput cross sums needs 4294901760 > budget 4194304 "
+     "(override with DIGITSEQ_BUDGET, hard limit 67108864)"),
     (["generate", "--preset", "rudin-shapirox:1", "--count", "4"],
      "unknown preset 'rudin-shapirox'"),
     (["fourier", "--preset", "rudin-shapiro", "--alpha", "1,1", "--lambda", "4",
@@ -559,7 +562,7 @@ def test_non_integer_text_names_its_input(capsys, argv, message):
       "--check", "cond2"],
      "condition 2 needs integral K; this alpha is wrong-branch"),
 ], ids=["sinsum-U-nan", "sinsum-U-inf", "sinsum-b-nan", "vaaler-grid", "vdc-N",
-        "preset-name", "seed", "preset-and-spec-file", "cond2-non-integer-K"])
+        "vdc-cross-sums", "preset-name", "seed", "preset-and-spec-file", "cond2-non-integer-K"])
 def test_bad_input_exits_2_naming_its_fault(capsys, monkeypatch, argv, message):
     # our own message, not a numpy one, and not a check read as failed or passed
     monkeypatch.delenv("DIGITSEQ_BUDGET", raising=False)

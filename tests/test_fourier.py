@@ -415,7 +415,9 @@ def test_exact_beta_matrix_matches_per_eps_phases(rng):
             den = int(rng.choice([-1, 1])) * int(rng.integers(1, 3 ** 30))
             num = int(rng.integers(-2 ** 62, 2 ** 62))
             A = fx._digit_matrices(ctx, np.array([e_frac(-e * num, den) for e in range(f.q)]))
-            want = fx._kron_sum(A, A.conj()) / f.q ** 3
+            assert np.array_equal(fx._digit_matrices_at(ctx, -num, den, 1)[0], A)
+            n = len(ctx.index_vectors())
+            want = fx._kron_sum(A).swapaxes(1, 2).reshape(n * n, n * n) / f.q ** 3
             assert np.array_equal(fx.build_transfer_matrix(ctx, (num, den)).entries, want)
     # past 2^53 the int64 phases would round or wrap: refused, not approximated
     for den in (0, 2 ** 52 + 1, -(2 ** 60)):
@@ -444,6 +446,15 @@ def test_phi_matrix_vs_bruteforce(rng, rs_ctx, tm_ctx):
             rb = int(rng.integers(0, nI))
             want = phi_bruteforce(ctx, Is[ra], Is[rb], h, lam, lam_p)
             assert psi[ra * nI + rb] == pytest.approx(want, abs=1e-9)
+
+
+def test_psi_vector_budgets_its_seed_depth(rs_ctx, monkeypatch):
+    # the seed is a depth lam - lam' G sum over q^(lam - lam' + m - 1) terms:
+    # refused by the budget before anything that size is formed
+    monkeypatch.delenv("DIGITSEQ_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError, match="^Fourier summation range needs 2147483648 > "):
+        fx.psi_vector(rs_ctx, 3, 30, 0)
+    assert fx.psi_vector(rs_ctx, 3, 30, 20).shape == (len(rs_ctx.index_vectors()) ** 2,)
 
 
 def test_condition1_rudin_shapiro(rs_ctx):
@@ -521,8 +532,8 @@ def test_digit_matrices_depend_on_the_rational_only():
     f = dq.parse_preset("digit-sum:3,3")
     ctx = fx.make_context(f, AlphaVector((1, 2), f.m_prime), 8)
     nums = -np.arange(3 ** 6)
-    assert np.array_equal(fx._digit_matrices_at(ctx, nums, 3 ** 6),
-                          fx._digit_matrices_at(ctx, nums * 9, 3 ** 8))
+    assert np.array_equal(fx._digit_matrices_at(ctx, nums, 3 ** 6, 4),
+                          fx._digit_matrices_at(ctx, nums * 9, 3 ** 8, 4))
 
 
 def test_condition1_memory_bounded_by_window_cap():

@@ -203,8 +203,8 @@ def test_condition_windows_formed_once_per_beta(monkeypatch):
     ref = Reference(ctx)
     formed, digit_matrices_at = [], fx._digit_matrices_at
 
-    def counting(ctx, nums, dens):
-        A = digit_matrices_at(ctx, nums, dens)
+    def counting(ctx, nums, den, j):
+        A = digit_matrices_at(ctx, nums, den, j)
         formed.append(math.prod(A.shape[:-3]))
         return A
 
@@ -217,6 +217,57 @@ def test_condition_windows_formed_once_per_beta(monkeypatch):
         rep = check(ctx, h_samples=hs)
         assert sum(formed) <= ctx.q ** ctx.lam * width
         _assert_report_matches(rep, ref.report(margins_of, hs, ctx.lam, width))
+
+
+_CONTRACT = r"^exact beta needs 0 < q \|den\| <= 2\^53, got den = {}$"
+
+
+@pytest.mark.parametrize("name,nums,lam", [("digit-sum:3,3", (1, 2), 33),
+                                          ("digit-sum:3,3", (1, 2), 40),
+                                          ("rudin-shapiro", (1, 1), 53),
+                                          ("rudin-shapiro", (1, 1), 64)], ids=str)
+def test_condition_checks_refuse_depths_past_the_phase_contract(name, nums, lam):
+    # q^(lam+1) > 2^53: a window's phases would round or wrap in int64 and
+    # float64, so the checks refuse the depth instead of reporting on it
+    ctx = _context(name, nums, 8)
+    for check in (fx.check_condition1, fx.check_condition2):
+        for hs in ([1], None):
+            with pytest.raises(ValueError, match=_CONTRACT.format(ctx.q ** lam)):
+                check(ctx, h_samples=hs, lam=lam)
+
+
+@pytest.mark.parametrize("name,nums,lam", [("digit-sum:3,3", (1, 2), 32),
+                                          ("rudin-shapiro", (1, 1), 52)], ids=str)
+def test_condition_checks_at_the_phase_contract_match_reference(name, nums, lam):
+    # the deepest lam inside the contract; for a fixed h the window at top ell
+    # is the one at beta = h/q^ell for every lam, so its margins do not move
+    ctx = _context(name, nums, 8)
+    ref = Reference(ctx)
+    hs = [1, 2, 5]
+    for check, margins_of, width in (
+            (fx.check_condition1, ref.condition1_margins, ctx.m0()),
+            (fx.check_condition2, ref.condition2_margins, ctx.m1_pair())):
+        rep = check(ctx, h_samples=hs, lam=lam)
+        _assert_report_matches(rep, ref.report(margins_of, hs, lam, width))
+        low = check(ctx, h_samples=hs, lam=8)
+        if rep.worst_at[1] <= 8:
+            assert (rep.worst_margin, rep.worst_at) == (low.worst_margin, low.worst_at)
+        assert rep.worst_margin <= low.worst_margin
+
+
+def test_psi_vector_refuses_depths_past_the_phase_contract():
+    # a shallow seed keeps the G sum in budget, but the lam' factors need
+    # the phases h/q^ell up to ell = lam
+    ctx = _context("rudin-shapiro", (1, 1), 8)
+    ref = Reference(ctx)
+    with pytest.raises(ValueError, match=_CONTRACT.format(2 ** 53)):
+        fx.psi_vector(ctx, 3, 53, 50)
+    Is = ctx.index_vectors()
+    base = np.array([fx.fourier_G(ctx, I, 3, 0, 2) for I in Is])
+    want = np.outer(base, base.conjugate()).reshape(-1)
+    for ell in range(3, 53):
+        want = ref.matrix((3, 2 ** ell))[0] @ want
+    assert np.abs(fx.psi_vector(ctx, 3, 52, 50) - want).max() <= 1e-13
 
 
 def test_worst_at_locates_the_worst_margin():
@@ -277,8 +328,9 @@ def _product_tol(ctx, j):
 
 
 def _random_factors(ctx, batch, j, rng):
+    # one schedule step per factor, so the j factors are independent
     den = ctx.q ** ctx.lam
-    return fx._digit_matrices_at(ctx, rng.integers(0, den, batch + (j,)), den)
+    return fx._digit_matrices_at(ctx, rng.integers(0, den, batch + (j,)), den, 1)[..., 0, :, :, :]
 
 
 @pytest.mark.parametrize("batch", [(), (16,), (3, 2)], ids=str)
