@@ -563,11 +563,14 @@ def _low_digits_first(q: int, j: int, deltas) -> list:
     return sorted(range(len(deltas)), key=lambda i: [deltas[i] // q ** t % q for t in range(j)])
 
 
-def _kron_sum(P: np.ndarray) -> np.ndarray:
-    """sum_s P_s (x) conj(P_s) over axis -3 of P as [..., i, j, k, l], the entry at
-    row (i, k), column (j, l): one GEMM X^T conj(X), the P_s flattened to rows of X."""
-    X = P.reshape(P.shape[:-3] + (-1, P.shape[-1] ** 2))
-    return (X.swapaxes(-1, -2) @ X.conj()).reshape(P.shape[:-3] + P.shape[-1:] * 4)
+def _kron_sum(P: np.ndarray, i=slice(None), k=slice(None)) -> np.ndarray:
+    """Rows (i, k) of sum_s P_s (x) conj(P_s), s on axis -3 of P, as [..., i, j, k, l]:
+    the entry at row (i, k), column (j, l), an int i or k dropping its axis.  One
+    GEMM X_i^T conj(X_k), where X_i stacks rows i of every P_s, one P_s a row."""
+    Xi, Xk = P[..., i, :], P[..., k, :]
+    b = P.ndim - 2  # the axes up to s
+    G = Xi.reshape(Xi.shape[:b] + (-1,)).swapaxes(-1, -2) @ Xk.reshape(Xk.shape[:b] + (-1,)).conj()
+    return G.reshape(Xi.shape[:b - 1] + Xi.shape[b:] + Xk.shape[b:])
 
 
 def build_transfer_matrix(ctx: FourierContext, beta) -> TransferMatrix:
@@ -644,10 +647,11 @@ class ConditionReport:
                 "violations": [list(v) for v in self.violations], "ok": self.ok}
 
 
-# Byte cap on the matrices formed at once (docs/DECISIONS.md, 4, 12 and 13): the
-# nI^2 x nI^2 condition windows, of which RS k=2 takes 101 distinct ones at a
-# time and RS k=3 (1.7 MB) one, and the saving sweep's products of a chunk of
-# deltas over the z grid, 14 deltas at a time for RS k=2 at a 256-point grid.
+# Byte cap on the matrices formed at once (docs/DECISIONS.md, 4, 12, 13 and 27):
+# the row blocks of the condition windows, sized at nI^3 complex values a key, so
+# RS k=2 takes 606 keys at a time, RS k=3 22, and RS k=4 one key in blocks of at
+# most 44 rows (k, i); and the saving sweep's products of a chunk of deltas over
+# the z grid, 14 deltas at a time for RS k=2 at a 256-point grid.
 _WINDOW_BYTES = 1 << 21
 
 
@@ -658,7 +662,8 @@ def _window_report(ctx, name, h_samples, lam, width, c0, eta, margins_of):
     beta = g/q^lam with key g = h q^(lam - ell_hi) mod q^lam (the phase
     schedule of h), so each distinct key is formed once.  margins_of(A)
     maps the factors A[key, i] = A_delta(e(-g q^i/q^lam)), i < width, of a
-    batch of keys to margins of shape (key, row).  The worst margin, where
+    batch of keys to margins of shape (key, row); a batch holds as many keys
+    as nI^3 complex values each fit in _WINDOW_BYTES.  The worst margin, where
     it fell and the first 16 violations are read in h, then ell_hi order.
     """
     if h_samples is None:
@@ -668,7 +673,7 @@ def _window_report(ctx, name, h_samples, lam, width, c0, eta, margins_of):
     top = ctx.q ** lam
     keys, inv = np.unique(_phase_schedule(ctx.q, np.array(h_samples, dtype=object), top,
                                           lam - width + 1), return_inverse=True)
-    fit = max(1, _WINDOW_BYTES // (16 * len(ctx.index_vectors()) ** 4))
+    fit = max(1, _WINDOW_BYTES // (16 * len(ctx.index_vectors()) ** 3))
     lo, rows = np.empty(keys.size), np.empty(keys.size, dtype=np.int64)
     for s in range(0, keys.size, fit):
         margins = margins_of(_digit_matrices_at(ctx, -keys[s:s + fit], top, width))
@@ -693,7 +698,11 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
 
     By the mixed-product rule a window M(h/q^ell_hi) ... M(h/q^ell_lo) is
     q^-3w sum_s P_s (x) conj(P_s) over the q^w digit sequences s, with
-    P_s = A_{s_1}(z_hi) ... A_{s_w}(z_lo): one GEMM of the stacked P_s.
+    P_s = A_{s_1}(z_hi) ... A_{s_w}(z_lo).  Row (i, k) holds the conjugates
+    of row (k, i) with columns (j, l) and (l, j) swapped, so both have one
+    margin: only rows (k, i) with k >= i are formed, one GEMM of the stacked
+    P_s per i and block of k.  On that tie worst_at names the row (i, k) with
+    i <= k.
     """
     ctx.require_nonzero_alpha("condition check")
     lam = ctx.lam if lam is None else lam
@@ -704,10 +713,17 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
     every = _low_digits_first(ctx.q, m0, range(ctx.q ** m0))  # each s once: no pruning
 
     def margins_of(A):
-        G = np.abs(_kron_sum(_digit_products(ctx, A, every)))  # G[:, i, j, k, l]
-        G *= eta
-        return np.maximum(G[:, :, 0, :, 0] - eta / 2.0,
-                          (1.0 - eta) - G.sum(axis=(2, 4))).reshape(len(G), -1)
+        P = _digit_products(ctx, A, every)
+        keys, nI = len(P), P.shape[-1]
+        out = np.empty((keys, nI, nI))
+        step = max(1, _WINDOW_BYTES // (16 * keys * nI * nI))  # rows a GEMM
+        for i in range(nI):  # rows (k, i), k >= i: row (i, k) has the conjugate entries
+            for k in range(i, nI, step):
+                G = np.abs(_kron_sum(P, slice(k, k + step), i))  # row (k, i), column (l, j)
+                m = np.maximum(eta * G[:, :, 0, 0] - eta / 2.0,
+                               (1.0 - eta) - eta * G.sum(axis=(2, 3)))
+                out[:, k:k + step, i] = out[:, i, k:k + step] = m
+        return out.reshape(keys, -1)
 
     return _window_report(ctx, "condition1", h_samples, lam, m0, eta / 2.0, eta,
                           margins_of)
@@ -846,6 +862,7 @@ def _grid_row_sums(ctx, j: int, deltas: list, grid: int):
     budget_check("sum", q ** j, "single-index matrix")
     if not deltas:
         raise ValueError("deltas must not be empty")
+    budget_check("sum", grid * j * q * nI * nI, "root-grid factor stack")
     A = _digit_matrices_at(ctx, np.arange(grid), grid, j)
     order, fit = _low_digits_first(q, j, deltas), max(1, _WINDOW_BYTES // (16 * grid * nI * nI))
     return ((pos, np.abs(_digit_products(ctx, A, [deltas[i] for i in pos])).sum(axis=-1))

@@ -3,7 +3,11 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -749,6 +753,17 @@ def test_root_grid_rejects_bad_grid(rs_half_ctx):
             fx.small_matrix_norms_on_root_grid(rs_half_ctx, 3, 5, grid)
 
 
+def test_root_grid_factor_stack_is_budgeted(rs_half_ctx):
+    # the grid x j x q x nI^2 factors are formed before any chunk: past the sum
+    # budget our error, not numpy's MemoryError (a 2^53 grid at j = 3 is 64 PiB)
+    with pytest.raises(BudgetExceededError, match="^root-grid factor stack needs "
+                                                  rf"{2 ** 53 * 3 * 2 * 36} > "):
+        fx.small_matrix_norms_on_root_grid(rs_half_ctx, 3, 0, 2 ** 53)
+    with pytest.raises(BudgetExceededError, match="^root-grid factor stack needs "
+                                                  rf"{2 ** 40 * 12 * 2 * 36} > "):
+        fx.prop2_saving_sweep(rs_half_ctx, deltas=[0], grid=2 ** 40)
+
+
 def test_saving_sweep_memory_bounded_by_window_cap():
     # every delta < 2^12 at a 256-point grid: all products at once would take
     # 4096 x 256 x 6^2 complex (604 MB); chunks stay near _WINDOW_BYTES
@@ -781,6 +796,31 @@ def test_grid_norms_memory_bounded_and_equal_to_the_sweep():
     for d in range(0, 2 ** 12, 257):
         one = fx.small_matrix_norms_on_root_grid(ctx, 12, d, 64)
         assert np.allclose(norms[:, d], one, rtol=1e-13, atol=0)
+
+
+# condition 1 on RS (1,1,0,1), nI = 54, at lam = 12 with 2 stratified h, in a
+# child process that prints its own peak RSS in kB: ru_maxrss would carry over
+# the peak of this test process
+_COND1_PEAK = (
+    "import digitseq as dq\n"
+    "from digitseq import fourier as fx\n"
+    "from digitseq.normality import AlphaVector\n"
+    "ctx = fx.make_context(dq.preset('rudin-shapiro'), AlphaVector((1, 1, 0, 1), 2), 12)\n"
+    "rep = fx.check_condition1(ctx, h_samples=fx.stratified_samples(2 ** 12, 2))\n"
+    "assert rep.ok and rep.windows_checked == 18, rep\n"
+    "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n")
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_condition1_at_k4_in_bounded_memory():
+    # a whole 2,916 x 2,916 window is 136 MB, and forming one took 230 MB at
+    # peak; the row blocks of one key take 2.5 MB, and importing takes 32 MB
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", _COND1_PEAK], timeout=300, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, capture_output=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout.split()[-1]) < 64 * 1024
 
 
 # ----------------------------------------------------------------------

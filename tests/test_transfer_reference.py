@@ -155,6 +155,78 @@ def test_condition1_matches_reference(case, rng):
     _assert_report_matches(rep, ref.report(ref.condition1_margins, hs, lam, ctx.m0()))
 
 
+def full_window_margins(ctx, A):
+    """Condition 1's margins from each whole nI^2 x nI^2 window, one GEMM X^T conj(X)
+    a key and strided row sums: the formula the row-block path replaced."""
+    m0 = ctx.m0()
+    eta = float(ctx.q) ** (-3 * m0)
+    P = fx._digit_products(ctx, A, fx._low_digits_first(ctx.q, m0, range(ctx.q ** m0)))
+    X = P.reshape(P.shape[:-3] + (-1, P.shape[-1] ** 2))
+    G = np.abs(X.swapaxes(-1, -2) @ X.conj()).reshape(P.shape[:-3] + P.shape[-1:] * 4)
+    G *= eta
+    return np.maximum(G[:, :, 0, :, 0] - eta / 2.0,
+                      (1.0 - eta) - G.sum(axis=(2, 4))).reshape(len(G), -1)
+
+
+def _condition1_batches(ctx, hs, monkeypatch):
+    """(report, [(factors, margins) of every key batch]) of one condition 1 check."""
+    batches, report = [], fx._window_report
+
+    def recording(*args):
+        *head, margins_of = args
+
+        def recorded(A):
+            batches.append((A, margins_of(A)))
+            return batches[-1][1]
+
+        return report(*head, recorded)
+
+    with monkeypatch.context() as m:
+        m.setattr(fx, "_window_report", recording)
+        return fx.check_condition1(ctx, h_samples=hs), batches
+
+
+def test_condition1_row_blocks_match_full_windows(case, rng, monkeypatch):
+    # every window's margins against the whole-window formula; rows (i, k) and
+    # (k, i) carry conjugate entries, so one margin serves both, and the
+    # reported row is the one with i <= k
+    ctx, _, h_count = case
+    nI = len(ctx.index_vectors())
+    rep, batches = _condition1_batches(ctx, _h_samples(ctx, h_count, rng), monkeypatch)
+    for A, margins in batches:
+        assert np.abs(margins - full_window_margins(ctx, A)).max() <= 1e-15
+        square = margins.reshape(-1, nI, nI)
+        assert np.array_equal(square, square.swapaxes(1, 2))
+    i, k = divmod(rep.worst_at[2], nI)
+    assert i <= k
+
+
+def test_condition1_report_does_not_depend_on_the_byte_cap(case, rng, monkeypatch):
+    # one row a GEMM, one key a batch, or every key at once: the factors and
+    # GEMMs round alike in any batch, so the reports are equal; each GEMM's
+    # output stays within the cap unless one row alone passes it
+    ctx, _, h_count = case
+    if ctx.m0() == 1:  # numpy forms a one-row stack without GEMM, rounding otherwise
+        pytest.skip("one key of one factor is a one-row stack")
+    nI = len(ctx.index_vectors())
+    hs = _h_samples(ctx, h_count, rng)
+    want = fx.check_condition1(ctx, h_samples=hs)
+    kron_sum, sizes = fx._kron_sum, []
+
+    def sizing(*args):
+        out = kron_sum(*args)
+        sizes.append(out.nbytes)
+        return out
+
+    for cap in (1, 16 * nI ** 2 * 3, 16 * nI ** 3, 1 << 40):
+        with monkeypatch.context() as m:
+            m.setattr(fx, "_WINDOW_BYTES", cap)
+            m.setattr(fx, "_kron_sum", sizing)
+            sizes.clear()
+            assert fx.check_condition1(ctx, h_samples=hs) == want
+            assert max(sizes) <= max(cap, 16 * nI ** 2)
+
+
 def test_condition2_matches_reference(case, rng):
     ctx, ref, h_count = case
     lam = ctx.lam
