@@ -137,6 +137,7 @@ class FourierContext:
             self.k * (f.m_prime - 1) + 1) % f.m_prime]
         self._btab = {}
         self._structure = None
+        self._reach = {}
 
     # -- cached tables ------------------------------------------------
 
@@ -218,6 +219,28 @@ class FourierContext:
                               self.roots[ph][..., None], axis=3)
             self._structure = (C, (C != 0).sum(axis=1))
         return self._structure
+
+    def reach_columns(self, w: int) -> np.ndarray:
+        """Per row I, the columns some w-step path from I reaches: (nI, width).
+
+        Those are the nonzero entries of row I of the boolean power
+        (sum_delta N_delta)^w; off them row I of every product of w one-digit
+        matrices is an exact zero (docs/DECISIONS.md, 28).  Column 0 leads
+        every row, then the reached columns in order; a row that reaches
+        fewer than width is padded with columns it never reaches.  Cached
+        per w.
+        """
+        cols = self._reach.get(w)
+        if cols is None:
+            step = self.transfer_parts()[1].sum(axis=0) > 0
+            reach = np.eye(len(step), dtype=bool)
+            for _ in range(w):
+                reach = reach @ step
+            order = np.where(reach, 1, 2)
+            order[:, 0] = 0
+            width = int((order < 2).sum(axis=1).max())
+            cols = self._reach[w] = np.argsort(order, axis=1, kind="stable")[:, :width]
+        return cols
 
 
 def make_context(f: DigitalFunction, alpha: AlphaVector, lam: int) -> FourierContext:
@@ -647,11 +670,13 @@ class ConditionReport:
                 "violations": [list(v) for v in self.violations], "ok": self.ok}
 
 
-# Byte cap on the matrices formed at once (docs/DECISIONS.md, 4, 12, 13 and 27):
-# the row blocks of the condition windows, sized at nI^3 complex values a key, so
-# RS k=2 takes 606 keys at a time, RS k=3 22, and RS k=4 one key in blocks of at
-# most 44 rows (k, i); and the saving sweep's products of a chunk of deltas over
-# the z grid, 14 deltas at a time for RS k=2 at a 256-point grid.
+# Byte cap on the matrices formed at once (docs/DECISIONS.md, 4, 12, 13, 27 and 28):
+# the condition windows' key batches, sized at nI^3 complex values a key, so RS
+# k=2 takes 606 keys at a time, RS k=3 22 and RS k=4 one; condition 1's row blocks
+# (k, i), at width^2 values a row on its width reachable columns, so RS k=4 forms
+# all 54 rows of a block at 30 of 54 columns in one GEMM; and the saving sweep's
+# products of a chunk of deltas over the z grid, 14 deltas at a time for RS k=2 at
+# a 256-point grid.
 _WINDOW_BYTES = 1 << 21
 
 
@@ -702,7 +727,10 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
     of row (k, i) with columns (j, l) and (l, j) swapped, so both have one
     margin: only rows (k, i) with k >= i are formed, one GEMM of the stacked
     P_s per i and block of k.  On that tie worst_at names the row (i, k) with
-    i <= k.
+    i <= k.  Row k of every P_s is an exact zero off the columns that some
+    m0-step path from k reaches (`FourierContext.reach_columns`), so row
+    (k, i) is formed only at the columns (l, j) with l reached from k and j
+    from i; where every row reaches every column, P_s is taken as it is.
     """
     ctx.require_nonzero_alpha("condition check")
     lam = ctx.lam if lam is None else lam
@@ -711,15 +739,20 @@ def check_condition1(ctx: FourierContext, h_samples=None, lam=None) -> Condition
         raise ValueError(f"need lam >= m0 = {m0}")
     eta = float(ctx.q) ** (-3 * m0)
     every = _low_digits_first(ctx.q, m0, range(ctx.q ** m0))  # each s once: no pruning
+    cols = ctx.reach_columns(m0)
+    width = cols.shape[1]
 
     def margins_of(A):
         P = _digit_products(ctx, A, every)
         keys, nI = len(P), P.shape[-1]
+        if width < nI:  # row k of every P_s is exactly zero off cols[k]
+            P = np.take_along_axis(P, cols[None, None], axis=-1)
         out = np.empty((keys, nI, nI))
-        step = max(1, _WINDOW_BYTES // (16 * keys * nI * nI))  # rows a GEMM
+        step = max(1, _WINDOW_BYTES // (16 * keys * width * width))  # rows a GEMM
         for i in range(nI):  # rows (k, i), k >= i: row (i, k) has the conjugate entries
             for k in range(i, nI, step):
-                G = np.abs(_kron_sum(P, slice(k, k + step), i))  # row (k, i), column (l, j)
+                # row (k, i) at column (cols[k][c], cols[i][d]), stored at [c, d]
+                G = np.abs(_kron_sum(P, slice(k, k + step), i))
                 m = np.maximum(eta * G[:, :, 0, 0] - eta / 2.0,
                                (1.0 - eta) - eta * G.sum(axis=(2, 3)))
                 out[:, k:k + step, i] = out[:, i, k:k + step] = m

@@ -252,6 +252,12 @@ def subword_complexity(values, n_max: int) -> list:
         base, symbols, offset = table.size, np.searchsorted(table, codes), offset + e - 1
 
 
+# Below this m' a chunk's phases are counted one nonzero residue at a time with
+# np.count_nonzero: np.bincount first copies the int16 chunk to intp, and on 2^16
+# phases the m' - 1 scans cost as much as that at m' = 12 (docs/DECISIONS.md, 28).
+_SCAN_BINS = 12
+
+
 def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
     """Counts of each phase sum_l num_l * b((n+l)^2) mod m' between grid points.
 
@@ -272,7 +278,13 @@ def _phase_counts(f: DigitalFunction, alpha: AlphaVector, grid) -> np.ndarray:
             for ell, num in enumerate(alpha.numerators):
                 if num:
                     phases += num * bsq[ell:ell + c]
-            row += np.bincount(_rem(phases, mp, out=phases), minlength=mp)
+            _rem(phases, mp, out=phases)
+            if mp < _SCAN_BINS:
+                hits = [np.count_nonzero(phases == v) for v in range(1, mp)]
+                row[1:] += hits
+                row[0] += c - sum(hits)
+            else:
+                row += np.bincount(phases, minlength=mp)
     return counts
 
 

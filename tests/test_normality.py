@@ -546,13 +546,15 @@ def reference_phase_counts(f, alpha, grid):
     return counts
 
 
-@pytest.mark.parametrize("name", ["rudin-shapiro", "digit-sum:3,3", "digit-sum:10,7"])
+@pytest.mark.parametrize("name", ["rudin-shapiro", "digit-sum:3,3", "digit-sum:10,7",
+                                  "digit-sum:10,11", "digit-sum:10,12"])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_phase_counts_match_stream_chunks(name, k):
     # cuts at the chunk edges of one iterator from 0 (its chunks hold 2^16
     # squares, so the first holds 2^16 - k + 1 phases) and of the old 2^16
     # phases; then segments long enough that their own iterators carry
-    # k - 1 squares across chunk edges, ending on either side of one
+    # k - 1 squares across chunk edges, ending on either side of one.  m' = 11
+    # counts by scans, m' = 12 by bincount
     f = dq.parse_preset(name)
     alpha = AlphaVector([1, f.m_prime - 1, 0][:k][::-1] if k > 1 else [1], f.m_prime)
     edges = (2 ** 16 - k + 1, 2 ** 16, 2 * 2 ** 16 - k + 1, 2 * 2 ** 16)

@@ -227,6 +227,76 @@ def test_condition1_report_does_not_depend_on_the_byte_cap(case, rng, monkeypatc
             assert max(sizes) <= max(cap, 16 * nI ** 2)
 
 
+def _reach_by_steps(ctx, ref, w):
+    """Per row, the set of columns some w-step path of transform_T reaches."""
+    reach = [{r} for r in range(len(ref.steps))]
+    for _ in range(w):
+        reach = [{c for r in cols for delta in ref.steps[r] for c, _, _ in delta}
+                 for cols in reach]
+    return reach
+
+
+# (preset, alpha numerators): columns a row of P_s can reach, of nI
+REACH_WIDTHS = {("rudin-shapiro", (1, 1)): (6, 6), ("rudin-shapiro", (1, 1, 0)): (14, 18),
+                ("rudin-shapiro", (1, 1, 0, 1)): (30, 54), ("thue-morse", (1,)): (1, 1),
+                ("thue-morse", (1, 1)): (2, 2), ("block-ones:3", (1, 1)): (20, 20),
+                ("digit-sum:3,3", (1, 2)): (2, 2)}
+
+
+@pytest.mark.parametrize("name,nums", list(REACH_WIDTHS), ids=str)
+def test_reach_columns_width(name, nums):
+    ctx = _context(name, nums, 8)
+    cols = ctx.reach_columns(ctx.m0())
+    assert cols.shape[::-1] == REACH_WIDTHS[name, nums]
+    assert ctx.reach_columns(ctx.m0()) is cols
+
+
+def test_digit_products_vanish_off_the_reach_columns(case, rng):
+    # column 0 first, then the columns transform_T reaches in m0 steps, padded
+    # with columns the row never reaches; every P_s is an exact zero off them
+    ctx, ref, _ = case
+    m0, nI = ctx.m0(), len(ctx.index_vectors())
+    cols = ctx.reach_columns(m0)
+    assert np.all(cols[:, 0] == 0)
+    for row, reach in zip(cols.tolist(), _reach_by_steps(ctx, ref, m0)):
+        n = len(reach | {0})
+        assert len(set(row)) == len(row) and set(row[:n]) == reach | {0}
+        assert not reach & set(row[n:])
+    keys = rng.integers(0, ctx.q ** ctx.lam, 16)
+    A = fx._digit_matrices_at(ctx, -keys, ctx.q ** ctx.lam, m0)
+    P = fx._digit_products(ctx, A, fx._low_digits_first(ctx.q, m0, range(ctx.q ** m0)))
+    off = np.ones((nI, nI), dtype=bool)
+    np.put_along_axis(off, cols, False, axis=1)
+    assert np.all(P[..., off] == 0)
+
+
+def test_condition1_reach_columns_move_only_dropped_ones(case, rng, monkeypatch):
+    # with every column listed the check takes the P_s as they are; where no
+    # column is dropped that is the check itself, so reports are ==, and where
+    # columns are dropped the margins regroup only, within 2.2e-16, on a tie
+    # of worst_at the row (i, k) with i <= k
+    ctx, _, h_count = case
+    nI = len(ctx.index_vectors())
+    hs = _h_samples(ctx, h_count, rng)
+    rep, batches = _condition1_batches(ctx, hs, monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(ctx, "reach_columns", lambda w: np.tile(np.arange(nI), (nI, 1)))
+        every, full = _condition1_batches(ctx, hs, monkeypatch)
+    if ctx.reach_columns(ctx.m0()).shape[1] == nI:
+        assert rep == every
+        return
+    eps = np.finfo(float).eps
+    for (A, margins), (A_every, margins_every) in zip(batches, full):
+        assert np.array_equal(A, A_every)
+        assert np.abs(margins - margins_every).max() <= eps
+        assert np.abs(margins - full_window_margins(ctx, A)).max() <= eps
+    assert abs(rep.worst_margin - every.worst_margin) <= eps
+    assert rep.windows_checked == every.windows_checked
+    assert [v[:3] for v in rep.violations] == [v[:3] for v in every.violations]
+    i, k = divmod(rep.worst_at[2], nI)
+    assert i <= k
+
+
 def test_condition2_matches_reference(case, rng):
     ctx, ref, h_count = case
     lam = ctx.lam
