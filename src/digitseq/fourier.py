@@ -549,33 +549,42 @@ def _digit_matrices_at(ctx, nums, den: int, j: int) -> np.ndarray:
     return _digit_matrices(ctx, np.exp(2j * np.pi * (R / den)))
 
 
-def _digit_products(ctx, A: np.ndarray, deltas) -> np.ndarray:
+def _digit_products(ctx, A, deltas) -> np.ndarray:
     """M^j_delta(z) per delta mod q^j, in the order of deltas: (..., len, nI, nI).
 
-    With A[..., t, d] = A_d(z^(q^t)), level t multiplies the kept prefixes by
-    its digit matrices in one stacked product, keeping the residues mod q^(t+1)
-    that deltas continue, so deltas sharing low digits share leading factors.
+    A is an array with A[..., t, d] = A_d(z^(q^t)), (..., j, q, nI, nI), or a list
+    of j level stacks over n points, A[t] of shape (s_t, q, nI, nI) with s_0 = n and
+    s_t dividing n, point i taking A[t][i // (n / s_t)]; an empty list gives the
+    empty product once.  Level t multiplies the kept prefixes by its digit matrices
+    in one GEMM a factor, over the points that share it (docs/DECISIONS.md, 29),
+    keeping the residues mod q^(t+1) that deltas continue, so deltas sharing low
+    digits share leading factors.
     """
-    q, j, nI, batch = ctx.q, A.shape[-4], A.shape[-1], A.shape[:-4]
+    if isinstance(A, np.ndarray):  # one factor a point: each level's stack is n long
+        batch = A.shape[:-4]
+        A = A.reshape((math.prod(batch),) + A.shape[-4:]).swapaxes(0, 1)
+    else:
+        batch = A[0].shape[:1] if A else ()
+    q, j, nI, n = ctx.q, len(A), len(ctx.index_vectors()), math.prod(batch)
     want = [int(d) % q ** j for d in deltas]
-    F = A.swapaxes(-3, -2)  # F[..., t, :, d, :] = A_d(z^(q^t)): digits side by side
     P, kept = None, [0]
-    for t in range(j):
+    for t, At in enumerate(A):
         p = q ** t
         res = {d % (q * p) for d in want}
         lo, hi = min(res) // p, max(res) // p + 1
         kept = [r + p * d for r in kept for d in range(lo, hi)]
         if t == 0:
-            P = A[..., 0, lo:hi, :, :]  # a view: each level's digits form one range
-        else:  # every kept prefix times every digit matrix, one stacked product
-            P = P.reshape(batch + (-1, nI)) @ F[..., t, :, lo:hi, :].reshape(batch + (nI, -1))
-            P = P.reshape(batch + (-1, nI, hi - lo, nI)).swapaxes(-3, -2)
+            P = At[:, lo:hi]  # a view: each level's digits form one range
+        else:  # every kept prefix times every digit matrix, digits side by side
+            s = len(At)
+            P = P.reshape(s, -1, nI) @ At[:, lo:hi].swapaxes(-3, -2).reshape(s, nI, -1)
+            P = P.reshape(n, -1, nI, hi - lo, nI).swapaxes(-3, -2)
         if len(kept) > len(res):  # drop candidates no delta continues
             keep = [r in res for r in kept]
-            P = P.reshape(batch + (-1, nI, nI))[..., keep, :, :]
+            P = P.reshape(n, -1, nI, nI)[:, keep]
             kept = [r for r in kept if r in res]
     if P is None:  # j = 0: the empty product
-        P = np.broadcast_to(np.eye(nI, dtype=np.complex128), batch + (1, nI, nI)).copy()
+        P = np.broadcast_to(np.eye(nI, dtype=np.complex128), (n, 1, nI, nI)).copy()
     P = P.reshape(batch + (-1, nI, nI))
     pos = {r: i for i, r in enumerate(kept)}
     return P if kept == want else P[..., [pos[d] for d in want], :, :]
@@ -676,7 +685,8 @@ class ConditionReport:
 # (k, i), at width^2 values a row on its width reachable columns, so RS k=4 forms
 # all 54 rows of a block at 30 of 54 columns in one GEMM; and the saving sweep's
 # products of a chunk of deltas over the z grid, 14 deltas at a time for RS k=2 at
-# a 256-point grid.
+# a 256-point grid, or of one delta over a block of grid points where one delta's
+# products over the whole grid pass the cap (docs/DECISIONS.md, 29).
 _WINDOW_BYTES = 1 << 21
 
 
@@ -885,9 +895,16 @@ def small_matrix_M(ctx: FourierContext, j: int, delta: int, z: complex) -> Trans
 
 
 def _grid_row_sums(ctx, j: int, deltas: list, grid: int):
-    """(positions, sums) per chunk of products that fits _WINDOW_BYTES, formed
-    as read: sums[t, i, r] = sum_J |M^j_delta(e(t/grid))[r, J]| at the distinct
-    deltas[positions[i]], low digits first so that chunks share leading factors.
+    """(points, positions, sums) per block of grid points and chunk of deltas whose
+    products fit _WINDOW_BYTES, formed as read: sums[i, k, r] = sum_J
+    |M^j_delta(e(g/grid))[r, J]| at g = points[i] and the distinct delta =
+    deltas[positions[k]], low digits first so that chunks share leading factors.
+
+    Level t's factors depend on g mod s_t only, s_t = grid / gcd(grid, q^t)
+    (docs/DECISIONS.md, 29).  A block is a run of consecutive g, the longest that
+    one delta's products fit such that each s_t is at least its size or divides
+    it; its points are sorted so that each level's classes are contiguous, and it
+    forms each distinct factor once.
     """
     if grid < 1:
         raise ValueError(f"grid must be >= 1, got {grid}")
@@ -895,11 +912,35 @@ def _grid_row_sums(ctx, j: int, deltas: list, grid: int):
     budget_check("sum", q ** j, "single-index matrix")
     if not deltas:
         raise ValueError("deltas must not be empty")
-    budget_check("sum", grid * j * q * nI * nI, "root-grid factor stack")
-    A = _digit_matrices_at(ctx, np.arange(grid), grid, j)
+    s = [grid // math.gcd(grid, q ** t) for t in range(j)]
+    size = next(b for b in range(min(grid, max(1, _WINDOW_BYTES // (16 * nI * nI))), 0, -1)
+                if all(b <= st or b % st == 0 for st in s))
+    full, rest = divmod(grid, size)  # a block of n points has min(n, s_t) classes at level t
+    formed = sum(full * min(size, st) + min(rest, st) for st in s) * q * nI * nI
+    budget_check("sum", formed, "root-grid factor stack")
+    r = np.arange(size)
+    sort = np.lexsort([r] + [r % st for st in s])  # by g mod s_(j-1), ..., g mod s_0
     order, fit = _low_digits_first(q, j, deltas), max(1, _WINDOW_BYTES // (16 * grid * nI * nI))
-    return ((pos, np.abs(_digit_products(ctx, A, [deltas[i] for i in pos])).sum(axis=-1))
-            for pos in (order[c:c + fit] for c in range(0, len(order), fit)))
+
+    def blocks():
+        for start in range(0, grid, size):
+            points = start + sort[sort < grid - start]  # the last block may be short
+            classes = [min(len(points), st) for st in s]
+            R, A = _phase_schedule(q, points, grid, j), []
+            if j:  # every level in one tensordot stack, read at each class's first point;
+                # a one-row stack rounds otherwise, so a lone row is doubled unless the
+                # per-point stack had one row too (grid = j = 1)
+                heads = np.concatenate([R[::len(points) // c, t] for t, c in enumerate(classes)])
+                rows = np.resize(heads, max(heads.size, min(2, grid * j)))
+                A = np.split(_digit_matrices_at(ctx, rows, grid, 1)[:heads.size, 0],
+                             np.cumsum(classes)[:-1])
+            for c in range(0, len(order), fit):
+                pos = order[c:c + fit]
+                sums = np.abs(_digit_products(ctx, A, [deltas[i] for i in pos])).sum(axis=-1)
+                yield points, pos, sums
+            del A  # before the next block's factors are formed
+
+    return blocks()
 
 
 def small_matrix_norms_on_root_grid(ctx: FourierContext, j: int, delta,
@@ -912,8 +953,8 @@ def small_matrix_norms_on_root_grid(ctx: FourierContext, j: int, delta,
     keys, inv = np.unique(np.atleast_1d(delta) % ctx.q ** j, return_inverse=True)
     rows = _grid_row_sums(ctx, j, keys.tolist(), grid)  # checks grid before out is sized
     out = np.empty((grid, keys.size))
-    for pos, sums in rows:
-        out[:, pos] = sums.max(axis=-1)
+    for points, pos, sums in rows:
+        out[np.ix_(points, pos)] = sums.max(axis=-1)
     return out[:, inv] if np.ndim(delta) else out[:, 0]
 
 
@@ -962,7 +1003,7 @@ def prop2_saving_sweep(ctx: FourierContext, deltas=None,
     eta_p = ctx.eta_single()
     p = ctx.q ** m1
     deltas = list({int(d) % p for d in (range(p) if deltas is None else deltas)})
-    worst = max(float(sums.max()) for _, sums in _grid_row_sums(ctx, m1, deltas, grid))
+    worst = max(float(sums.max()) for *_, sums in _grid_row_sums(ctx, m1, deltas, grid))
     slack = math.pi / grid * (p * (p - 1) // 2)
     return SavingSweepReport(m1=m1, eta_prime=eta_p, bound=float(p) - eta_p,
                              deltas_checked=len(deltas), grid=grid, worst_norm=worst,

@@ -191,11 +191,16 @@ def _map_range_check(index_map: IndexMap, start: int, count: int) -> None:
             )
 
 
+@lru_cache(maxsize=256)
+def _limb_top(q: int, m: int) -> int:
+    """The most digits L with q^L <= 2^46 and q^(L+m-1) <= 2^62: two integer
+    log loops, run once per (q, m) rather than once per wide chunk."""
+    return min(_ilog_floor(q, _LIMB_BASE_LIMIT), _ilog_floor(q, _VECTOR_ARG_LIMIT) - m + 1)
+
+
 def _limb_digits(f: DigitalFunction) -> int:
-    """L: the most digits with q^L <= 2^46 and q^(L+m-1) <= 2^62 that
-    f's scan takes in whole rounds."""
-    return _round_digits(f, min(_ilog_floor(f.q, _LIMB_BASE_LIMIT),
-                                _ilog_floor(f.q, _VECTOR_ARG_LIMIT) - f.m + 1))
+    """L: the most digits up to `_limb_top` that f's scan takes in whole rounds."""
+    return _round_digits(f, _limb_top(f.q, f.m))
 
 
 def _emit_wide(g: DigitalFunction, limb_digits: int, index_map: IndexMap,
@@ -286,7 +291,8 @@ def _chunks(f: DigitalFunction, index_map: IndexMap, start: int, count: int,
         raise ValueError(f"threads must be >= 1, got {threads}")
     if chunk < 1:  # a negative step would yield nothing
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    threads = min(threads, os.cpu_count() or 1)
+    if threads > 1:
+        threads = min(threads, os.cpu_count() or 1)
     _map_range_check(index_map, start, count)
     spans = ((s, min(chunk, start + count - s))  # each formed as it is read
              for s in range(start, start + count, chunk))

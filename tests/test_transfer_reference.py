@@ -11,6 +11,7 @@ two sides share no code.
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -533,6 +534,110 @@ def test_saving_sweep_matches_per_delta_norms(name, nums, rng, monkeypatch):
         for i in range(len(deltas) - 2):  # every delta counts, wherever it sorts
             rep = fx.prop2_saving_sweep(ctx, deltas=deltas[i:i + 3], grid=grid)
             assert rep.worst_norm == pytest.approx(worst[i:i + 3].max(), rel=1e-13)
+
+
+def per_point_norms(ctx, j, deltas, grid):
+    """Root-grid norms as the per-point loop formed them: every point's own j
+    factors (grid x j x q x nI^2 values), multiplied point by point in chunks of
+    deltas whose products fit _WINDOW_BYTES, low digits first: the loop that
+    grouping the grid by factor value replaced."""
+    q, nI = ctx.q, len(ctx.index_vectors())
+    keys, inv = np.unique(np.array(deltas) % q ** j, return_inverse=True)
+    A = fx._digit_matrices_at(ctx, np.arange(grid), grid, j)
+    order = fx._low_digits_first(q, j, keys.tolist())
+    fit = max(1, fx._WINDOW_BYTES // (16 * grid * nI * nI))
+    out = np.empty((grid, keys.size))
+    for c in range(0, len(order), fit):
+        pos = order[c:c + fit]
+        out[:, pos] = np.abs(fx._digit_products(ctx, A, keys[pos])).sum(axis=-1).max(axis=-1)
+    return out[:, inv]
+
+
+@pytest.mark.parametrize("grid", [1, 16, 35, 64, 256])
+def test_root_grid_norms_match_per_point_loop(case, grid, rng, monkeypatch):
+    # each grouped GEMM takes the per-point GEMMs' dot products with more rows,
+    # so every norm is the per-point loop's, bit for bit, in one block or in
+    # blocks of at most 5 points (the last one short where 5 does not divide the
+    # grid); 35 is prime to q, where every point is its own class.  Deltas
+    # unsorted, repeated and negative
+    ctx, _, _ = case
+    q, nI = ctx.q, len(ctx.index_vectors())
+    for j in (0, 1, 4, 9):
+        deltas = [int(d) for d in rng.integers(-q ** j, 2 * q ** j, 10)]
+        deltas += deltas[:2]
+        for cap in (fx._WINDOW_BYTES, 16 * nI * nI * 5):
+            with monkeypatch.context() as m:
+                m.setattr(fx, "_WINDOW_BYTES", cap)
+                got = fx.small_matrix_norms_on_root_grid(ctx, j, deltas, grid)
+                assert np.array_equal(got, per_point_norms(ctx, j, deltas, grid))
+
+
+def _grid_batches(ctx, j, deltas, grid, monkeypatch):
+    """[(points, level factor stacks)] of every batch of one root-grid pass."""
+    stacks, products = [], fx._digit_products
+
+    def recording(ctx, A, deltas):
+        stacks.append(A)
+        return products(ctx, A, deltas)
+
+    with monkeypatch.context() as m:
+        m.setattr(fx, "_digit_products", recording)
+        points = [p for p, *_ in fx._grid_row_sums(ctx, j, deltas, grid)]
+    return list(zip(points, stacks))
+
+
+@pytest.mark.parametrize("name,nums", [("rudin-shapiro", (1, 0)), ("digit-sum:3,3", (1,)),
+                                       ("digit-sum:10,3", (1,))], ids=str)
+@pytest.mark.parametrize("grid", [1, 7, 64, 243, 256, 1000])
+def test_root_grid_factors_constant_on_class_blocks(name, nums, grid, monkeypatch):
+    # level t's factor A_delta(e(g q^t/grid)) depends on g mod s_t only: each
+    # class is one contiguous run of its block, and the run's one factor is every
+    # point's own factor as the per-point loop formed it, bit for bit, also in a
+    # block of one point.  In one block or in blocks of at most 5 points, every
+    # point lands in exactly one block
+    ctx = _context(name, nums, 4)
+    q, nI = ctx.q, len(ctx.index_vectors())
+    for j in (0, 1, 3, 6):
+        for cap in (fx._WINDOW_BYTES, 16 * nI * nI * 5):
+            monkeypatch.setattr(fx, "_WINDOW_BYTES", cap)
+            seen, every = [], fx._digit_matrices_at(ctx, np.arange(grid), grid, j)
+            for points, A in _grid_batches(ctx, j, [5], grid, monkeypatch):
+                seen += points.tolist()
+                own = every[points]
+                assert len(A) == j
+                for t, At in enumerate(A):
+                    assert len(At) == min(len(points), grid // math.gcd(grid, q ** t))
+                    run = len(points) // len(At)
+                    phases = points * q ** t % grid
+                    assert (phases.reshape(-1, run) == phases[::run, None]).all()
+                    assert np.array_equal(np.repeat(At, run, axis=0), own[:, t])
+            assert sorted(seen) == list(range(grid))
+
+
+def test_root_grid_at_8192_in_bounded_memory(monkeypatch):
+    # route B's grid (G >= 4,550 for RS k = 2): one delta's products pass the cap,
+    # so the grid runs in blocks of 2,048 consecutive points, each forming its
+    # sum_t min(2048, s_t) = 8,188 distinct factors in place of 2,048 x 12; past
+    # those factors no batch forms more than 2 x _WINDOW_BYTES
+    ctx = _context("rudin-shapiro", (1, 0), 8)
+    q, nI, j, grid = ctx.q, len(ctx.index_vectors()), ctx.m1_single(), 8192
+    stack = sum(min(2048, grid >> t) for t in range(j)) * q * nI * nI
+    sizes, products = [], fx._digit_products
+
+    def recording(ctx, A, deltas):
+        sizes.append(sum(At.size for At in A))
+        return products(ctx, A, deltas)
+
+    monkeypatch.setattr(fx, "_digit_products", recording)
+    ctx.transfer_parts()
+    tracemalloc.start()
+    try:
+        rep = fx.prop2_saving_sweep(ctx, deltas=[0, 1, 2049, 4095], grid=grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.deltas_checked == 4 and sizes == [stack] * (4 * 4)
+    assert peak <= 16 * stack + 2 * fx._WINDOW_BYTES
 
 
 def reference_g_rhs(ctx, I, h, d, j, delta, lam):
