@@ -19,6 +19,7 @@ from .budget import check as budget_check
 from .digital import (
     DigitalFunction,
     _prime_factors,
+    _rem,
     eval_b_band_many,
     eval_b_many,
 )
@@ -66,7 +67,8 @@ class BoundedValue:
 
 
 def _quadratic_phase_sum(a: int, b: int, m: int, ns: np.ndarray) -> complex:
-    phases = (a % m * (ns * ns % m) + b % m * ns) % m
+    # every operand is nonnegative, so floor division reduces as % does
+    phases = _rem(a % m * _rem(ns * ns, m) + b % m * ns, m)
     counts = np.bincount(phases, minlength=m)
     return complex(counts @ roots_of_unity(m))
 
@@ -96,7 +98,7 @@ def incomplete_gauss_sum(a: int, b: int, m: int, n0: int, N: int) -> BoundedValu
     if N == 0:
         value = 0j
     else:
-        ns = ((n0 + 1) % m + np.arange(N, dtype=np.int64)) % m
+        ns = _rem((n0 + 1) % m + np.arange(N, dtype=np.int64), m)
         value = _quadratic_phase_sum(a, b, m, ns)
     bound = (N / m + 1 + (2 / math.pi) * math.log(2 * m / math.pi)) \
         * math.sqrt(2 * m * math.gcd(a, m))
@@ -153,20 +155,21 @@ def sinus_sum_checks(a: int, m: int, b: float, U: float, A: int = 1) -> SinusSum
         raise ValueError("A must be >= 1")
     budget_check("sum", m * A, "sinus sum sweep")
 
-    def row_sum(aa: int) -> float:
-        ns = np.arange(m, dtype=np.int64)
-        s = np.abs(np.sin(np.pi * ((aa * ns + b) / m)))
-        with np.errstate(divide="ignore"):
-            inv = np.where(s > 0, 1.0 / np.maximum(s, 1e-300), np.inf)
-        return float(np.minimum(U, inv).sum())
+    # row 0 is a, rows 1..A the averaged ones, each summed on its own as
+    # a contiguous row, so each sum is its 1-D pass's (docs/DECISIONS.md, 30)
+    aa = np.array([a, *range(1, A + 1)], dtype=np.int64)[:, None]
+    s = np.abs(np.sin(np.pi * ((aa * np.arange(m, dtype=np.int64) + b) / m)))
+    with np.errstate(divide="ignore"):
+        inv = np.where(s > 0, 1.0 / np.maximum(s, 1e-300), np.inf)
+    rows = np.minimum(U, inv).sum(axis=1).tolist()
 
-    single = row_sum(a)
+    single = rows[0]
     g = math.gcd(a, m) if a != 0 else m
     s0 = abs(math.sin(math.pi * g * frac_norm(b / g) / m))
     head = g * (U if s0 == 0.0 else min(U, 1.0 / s0))
     single_bound = head + (2 * m / math.pi) * math.log(2 * m)
 
-    double = sum(row_sum(aa) for aa in range(1, A + 1)) / A
+    double = sum(rows[1:]) / A
     shape = divisor_count(m) * U + m * math.log(m)
     return SinusSumReport(
         single_sum=single,
@@ -214,8 +217,9 @@ class VaalerPolynomials:
     h = -H..H (index h + H).  a_0 = alpha exactly,
     |a_h| <= min(alpha, 1/(pi |h|)), |b_h| <= 1/(H+1), and B >= 0
     everywhere.  A, B and defect take x of any shape and return that
-    shape (a scalar gives shape (1,)); they share one Horner pass in
-    e(x), so no array of x.size x H values is ever built.
+    shape (a scalar gives shape (1,)); they share one blocked Horner
+    pass in e(x), whose largest arrays hold about 3 sqrt(H) x.size
+    values.
     """
 
     alpha: float
@@ -227,20 +231,28 @@ class VaalerPolynomials:
         """(A(x), B(x)) stacked along a new first axis.
 
         Both are real, so c_-h = conj(c_h) and each equals
-        Re(c_0 + 2 sum_{h=1..H} c_h z^h) with z = e(x - floor(x)): one
-        Horner pass over h = H..1 evaluates both in O(x.size) memory.
+        Re(c_0 + 2 sum_{h=1..H} c_h z^h) with z = e(x - floor(x)).  With
+        k = isqrt(H) and h = t k + j, 1 <= j <= k, that sum is Horner's
+        rule in z^k over the inner sums Q_t = sum_j 2 c_{tk+j} z^j, which
+        one GEMM forms for A and B together (docs/DECISIONS.md, 30).
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         budget_check("sum", x.size * (self.H + 1), "Vaaler evaluation")
-        c = np.stack([self.a_coeffs, self.b_coeffs])[:, self.H:]
-        c = c.reshape(c.shape + (1,) * x.ndim)
-        c2 = 2 * c
-        z = np.exp(2j * np.pi * (x - np.floor(x)))
-        p = np.zeros((2,) + x.shape, dtype=np.complex128)
-        for h in range(self.H, 0, -1):
-            p += c2[:, h]
-            p *= z
-        return c[:, 0].real + p.real
+        H, k = self.H, math.isqrt(self.H)
+        n = -(-H // k)  # blocks of k degrees, the last zero-padded
+        c = np.zeros((2, n * k + 1), dtype=np.complex128)
+        c[:, :H + 1] = np.stack([self.a_coeffs, self.b_coeffs])[:, H:]
+        u = x.ravel()
+        z = np.exp(2j * np.pi * (u - np.floor(u)))
+        Z = np.empty((k, z.size), dtype=np.complex128)
+        Z[:] = z
+        np.cumprod(Z, axis=0, out=Z)  # z^1 .. z^k
+        Q = (2 * c[:, 1:].reshape(2 * n, k) @ Z).reshape(2, n, z.size)
+        p = Q[:, n - 1]
+        for t in range(n - 2, -1, -1):
+            p *= Z[k - 1]
+            p += Q[:, t]
+        return (c[:, :1].real + p.real).reshape((2,) + x.shape)
 
     def A(self, x) -> np.ndarray:
         return self._eval(x)[0]
@@ -380,10 +392,14 @@ def carry_exception_count(f: DigitalFunction, nu: int, lam: int, rho: int,
     p = q ** lam
     digit = int(np.count_nonzero(sq // p != sq_r // p))
 
-    depth = max(lam - f.m + 1, 0)
-    full = eval_b_many(f, sq_r) - eval_b_many(f, sq)
-    trunc = eval_b_band_many(f, sq_r, 0, depth) - eval_b_band_many(f, sq, 0, depth)
-    band = int(np.count_nonzero(full != trunc))
+    # b(n) = b_d(n) + b(floor(n / q^d)) for a normalized table, so the
+    # b-increment differs from its depth-d truncation exactly where
+    # b(floor(n / q^d)) differs at n = sq and n = sq_r (docs/DECISIONS.md, 30)
+    if not f.is_normalized:
+        raise ValueError("truncated evaluation requires a normalized table")
+    high = q ** max(lam - f.m + 1, 0)
+    band = int(np.count_nonzero(eval_b_many(f, sq_r // high)
+                                != eval_b_many(f, sq // high)))
 
     power = q ** (2 * nu + rho - lam)
     return CarryExperiment(nu=nu, lam=lam, rho=rho, r=r,

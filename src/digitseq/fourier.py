@@ -1059,6 +1059,11 @@ class WitnessRecord:
         return {**asdict(self), "I": list(self.I), "verified": self.verified}
 
 
+# the 256-point z grid on which find_saving_witness checks its bounds
+_WITNESS_GRID = np.exp(2j * np.pi * np.arange(256) / 256)
+_WITNESS_GRID.flags.writeable = False
+
+
 def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     """Build and verify the saving certificate for one (I, delta).
 
@@ -1124,7 +1129,7 @@ def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     xi = [(b - a) % mp for a, b in ph]
     xi_gap = (xi[0] - xi[1]) % mp
 
-    zg = np.exp(2j * np.pi * np.arange(256) / 256)
+    zg = _WITNESS_GRID
     gap = (eps[1] - eps[0]) % pm1p
     if gap in (1, pm1p - 1):
         # the pairs share an eps: bound the chain s, s+1, s+2 as a whole,

@@ -12,7 +12,13 @@ import pytest
 
 from digitseq import analytic as an
 from digitseq.budget import BudgetExceededError
-from digitseq.digital import eval_b_band_many, normalize
+from digitseq.digital import (
+    eval_b_band_many,
+    eval_b_many,
+    make_digital_function,
+    normalize,
+)
+from digitseq.phases import roots_of_unity
 from digitseq.seqgen import parse_preset
 
 
@@ -151,6 +157,57 @@ def test_sinus_double_sum_reports_constant():
     rep = an.sinus_sum_checks(5, 64, 0.25, 100.0, A=8)
     assert rep.double_sum > 0 and rep.shape_constant > 0
     assert rep.tau_m == an.divisor_count(64)
+
+
+def reference_phase_sum(a, b, m, ns):
+    """The quadratic phase sum with the phases reduced by %."""
+    phases = (a % m * (ns * ns % m) + b % m * ns) % m
+    return complex(np.bincount(phases, minlength=m) @ roots_of_unity(m))
+
+
+def reference_sinus_rows(a, m, b, U, A):
+    """Row a and the rows 1..A of the sinus sums, one 1-D pass a row."""
+    def row_sum(aa):
+        ns = np.arange(m, dtype=np.int64)
+        s = np.abs(np.sin(np.pi * ((aa * ns + b) / m)))
+        with np.errstate(divide="ignore"):
+            inv = np.where(s > 0, 1.0 / np.maximum(s, 1e-300), np.inf)
+        return float(np.minimum(U, inv).sum())
+
+    return row_sum(a), sum(row_sum(aa) for aa in range(1, A + 1)) / A
+
+
+def test_gauss_values_match_reduction_by_mod():
+    rng = np.random.default_rng(20261021)
+    cases = [(a, b, m) for m in (1, 2, 3, 1024, 2048, 4095) for a, b in
+             ((0, 0), (-5, 7), (1, -1), (2 ** 40 + 3, -(2 ** 41)))]
+    for _ in range(300):
+        m = int(rng.integers(1, 4097))
+        cases.append((int(rng.integers(-3 * m, 3 * m + 1)),
+                      int(rng.integers(-3 * m, 3 * m + 1)), m))
+    for a, b, m in cases:
+        ns = np.arange(m, dtype=np.int64)
+        assert an.gauss_sum(a, b, m).value == reference_phase_sum(a, b, m, ns)
+        n0 = int(rng.integers(-10 ** 15, 10 ** 15))
+        N = int(rng.integers(1, 5000))
+        ns = ((n0 + 1) % m + np.arange(N, dtype=np.int64)) % m
+        got = an.incomplete_gauss_sum(a, b, m, n0, N).value
+        assert got == reference_phase_sum(a, b, m, ns), (a, b, m, n0, N)
+
+
+def test_sinus_rows_match_one_pass_a_row():
+    rng = np.random.default_rng(20261022)
+    cases = [(a, m, b, 10.0, A) for m in (1, 2, 16) for a in (-3, 0, 1, 5)
+             for b, A in ((0.0, 1), (m / 2, 3), (-0.25, 8))]
+    for _ in range(300):
+        m = int(rng.integers(1, 3000))
+        cases.append((int(rng.integers(-3 * m, 3 * m + 2)), m,
+                      float(rng.uniform(-m, m)), float(rng.uniform(0.5, 1e7)),
+                      int(rng.integers(1, 9))))
+    for a, m, b, U, A in cases:
+        rep = an.sinus_sum_checks(a, m, b, U, A)
+        single, double = reference_sinus_rows(a, m, b, U, A)
+        assert (rep.single_sum, rep.double_sum) == (single, double), (a, m, b, U, A)
 
 
 # ----------------------------------------------------------------------
@@ -333,6 +390,33 @@ def test_vaaler_budget():
         vp.defect(np.zeros(70000))     # 70000 x (H + 1) terms
 
 
+def per_degree_eval(vp, x):
+    """(A(x), B(x)) by one Horner step per degree h = H..1 in e(x)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    c = np.stack([vp.a_coeffs, vp.b_coeffs])[:, vp.H:]
+    c = c.reshape(c.shape + (1,) * x.ndim)
+    c2 = 2 * c
+    z = np.exp(2j * np.pi * (x - np.floor(x)))
+    p = np.zeros((2,) + x.shape, dtype=np.complex128)
+    for h in range(vp.H, 0, -1):
+        p += c2[:, h]
+        p *= z
+    return c[:, 0].real + p.real
+
+
+@pytest.mark.parametrize("H", [1, 2, 3, 15, 16, 17, 64, 255, 256])
+def test_vaaler_blocked_matches_per_degree_horner(H):
+    rng = np.random.default_rng(H)
+    points = [0.3, np.arange(256) / 256, rng.uniform(-3, 3, (7, 11)),
+              1000 + rng.uniform(-1, 1, 64), rng.uniform(-1e6, 1e6, (3, 2, 5))]
+    for alpha in (0.0, float(rng.uniform(0, 1)), 0.999):
+        vp = an.vaaler_build(alpha, H)
+        for x in points:
+            got, want = vp._eval(x), per_degree_eval(vp, x)
+            assert got.shape == want.shape == (2,) + np.atleast_1d(x).shape
+            assert np.abs(got - want).max() <= 1e-13, (alpha, H)
+
+
 # ----------------------------------------------------------------------
 # Van der Corput
 
@@ -439,6 +523,44 @@ def test_carry_validation(thue_morse):
         an.carry_exception_count(thue_morse, 10, 22, 2, 1)   # lam > 2 nu
     with pytest.raises(ValueError):
         an.carry_exception_count(thue_morse, 10, 14, 2, 5)   # r > q^rho
+
+
+def reference_carry_counts(f, nu, lam, rho, r):
+    """(digit, band) counts with the band count from four scans: the full
+    b-increment against its depth lam - m + 1 truncation."""
+    q = f.q
+    n = np.arange(q ** nu, dtype=np.int64)
+    sq, sq_r = n * n, (n + r) * (n + r)
+    digit = int(np.count_nonzero(sq // q ** lam != sq_r // q ** lam))
+    depth = max(lam - f.m + 1, 0)
+    full = eval_b_many(f, sq_r) - eval_b_many(f, sq)
+    trunc = eval_b_band_many(f, sq_r, 0, depth) - eval_b_band_many(f, sq, 0, depth)
+    return digit, int(np.count_nonzero(full != trunc))
+
+
+def test_carry_counts_match_four_scans(rudin_shapiro):
+    cells = [(rudin_shapiro, 16, lam, rho, r) for rho in (0, 2) for lam in (18, 20)
+             for r in range(min(2 ** rho, 7) + 1)]  # the criterion-9 cells
+    for name in ("rudin-shapiro", "thue-morse", "digit-sum:3,3", "block-ones:3"):
+        f = normalize(parse_preset(name))
+        for nu in (7, 12) if f.q == 2 else (7, 9):  # 3^12 n cost seconds
+            for rho in range(3):
+                for lam in range(nu + rho, 2 * nu + 1, 2):
+                    cells += [(f, nu, lam, rho, r) for r in range(min(f.q ** rho, 4) + 1)]
+    assert len(cells) > 300
+    for f, nu, lam, rho, r in cells:
+        ce = an.carry_exception_count(f, nu, lam, rho, r)
+        assert (ce.digit_exceptions, ce.band_exceptions) \
+            == reference_carry_counts(f, nu, lam, rho, r), (f.q, f.m, nu, lam, rho, r)
+
+
+def test_carry_needs_normalized_table():
+    f = make_digital_function(2, 2, [0, 0, 1, 0], 2)
+    with pytest.raises(ValueError, match="requires a normalized table"):
+        an.carry_exception_count(f, 6, 8, 0, 1)
+    ce = an.carry_exception_count(normalize(f), 6, 8, 0, 1)
+    assert (ce.digit_exceptions, ce.band_exceptions) \
+        == reference_carry_counts(normalize(f), 6, 8, 0, 1)
 
 
 def test_carry_decomposition_thue_morse(thue_morse):
