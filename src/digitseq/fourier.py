@@ -44,6 +44,7 @@ so the uniform saving for m = 1 is the smaller, chain constant.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import asdict, dataclass
 from functools import lru_cache
@@ -88,17 +89,44 @@ def enumerate_index_sets(q: int, m: int, k: int):
     return list(full), list(start)
 
 
+def _vector(I):
+    """I as a tuple of Python ints, or None unless I is a 1-D integer sequence."""
+    try:
+        return tuple(operator.index(i) for i in I)
+    except TypeError:  # not iterable, or an entry that is no integer (a row, a float)
+        return None
+
+
 def is_index_vector(I, q: int, m: int) -> bool:
-    cap = q ** (m - 1)
+    I, cap = _vector(I), q ** (m - 1)
     if not I or not 0 <= I[0] < cap:
         return False
     return all(prev <= cur <= prev + cap for prev, cur in zip(I, I[1:]))
 
 
 def is_start_index_vector(I) -> bool:
+    I = _vector(I)
     if not I or I[0] != 0:
         return False
     return all(cur - prev in (0, 1) for prev, cur in zip(I, I[1:]))
+
+
+def _offsets(ctx, I, start: bool = False) -> tuple:
+    """I as a tuple of ints, once it is checked to be a k-long offset vector of
+    the full index set, or of the start-normalized one."""
+    J = _vector(I)
+    valid = is_start_index_vector(J) if start else is_index_vector(J, ctx.q, ctx.m)
+    if not valid or len(J) != ctx.k:
+        raise ValueError(f"{I} is not a {'start-normalized' if start else 'valid'} offset vector")
+    return J
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int: any integer type, numpy's of every width included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ----------------------------------------------------------------------
@@ -136,6 +164,7 @@ class FourierContext:
         self.phase_roots = self.roots[np.arange(
             self.k * (f.m_prime - 1) + 1) % f.m_prime]
         self._btab = {}
+        self._bands = {}
         self._structure = None
         self._reach = {}
 
@@ -151,6 +180,18 @@ class FourierContext:
             tab = _rem(eval_b_band_many(self.f, xs, 0, depth), self.m_prime)
             self._btab[depth] = tab
         return tab
+
+    def reduced_band(self, depth: int, num: int) -> np.ndarray:
+        """num b_depth mod m' on one full period: the band table itself for
+        num = 1, else its gather through `times[num]`, read-only, cached per
+        (depth, num)."""
+        if num == 1:
+            return self.band_table(depth)
+        band = self._bands.get((depth, num))
+        if band is None:
+            band = self._bands[depth, num] = self.times[num][self.band_table(depth)]
+            band.flags.writeable = False
+        return band
 
     def index_vectors(self):
         return _index_sets(self.q, self.m, self.k)[0]
@@ -274,11 +315,10 @@ def _T(ctx, I, eps: int, delta: int, j: int):
 
 def transform_T(ctx: FourierContext, I, eps: int, delta: int, j: int):
     """Digit-block shift on offset vectors; eps, delta reduced mod q^j."""
+    eps, delta, j = _integer("eps", eps), _integer("delta", delta), _integer("j", j)
     if j < 0:
         raise ValueError("j must be >= 0")
-    if not is_index_vector(I, ctx.q, ctx.m):
-        raise ValueError(f"{I} is not a valid offset vector")
-    return _T(ctx, I, eps, delta, j)
+    return _T(ctx, _offsets(ctx, I), eps, delta, j)
 
 
 def weight_v_phase(ctx: FourierContext, I, eps: int, delta: int, j: int) -> int:
@@ -304,15 +344,15 @@ def weight_v(ctx: FourierContext, I, eps: int, delta: int, j: int) -> complex:
 # H and G
 
 
-def _rows_by_value(col: np.ndarray) -> list:
-    """(v, rows) for each distinct v of the 1-D array col.
+def _rows_by_value(col: list) -> list:
+    """(v, rows) for each distinct v of the list col.
 
     rows are the positions holding v: an int where v is held once and a
     slice where they are consecutive, so that ph[rows] is a view added in
     place, else a list.
     """
     at = {}
-    for row, v in enumerate(col.tolist()):
+    for row, v in enumerate(col):
         at.setdefault(v, []).append(row)
     return [(v, rows[0] if len(rows) == 1 else slice(rows[0], rows[-1] + 1)
              if rows[-1] - rows[0] < len(rows) else rows) for v, rows in at.items()]
@@ -332,14 +372,12 @@ def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
     big = ctx.q ** (lam + ctx.m - 1)
     n = big // stride
     d %= big  # both phases are big-periodic in stride * d
-    tab = ctx.band_table(lam)
-    I = np.asarray(I, dtype=np.int64)
+    I = np.asarray(I, dtype=np.int64).tolist()
     ph = np.zeros((len(I), n), dtype=np.int64)
-    C = (stride * d * np.arange(ctx.k) + I) % big  # c per row and coefficient
     for ell, num in enumerate(ctx.alpha.numerators):
         if num:
-            band = tab if num == 1 else ctx.times[num][tab]
-            for c, rows in _rows_by_value(C[:, ell]):
+            band, step = ctx.reduced_band(lam, num), stride * d * ell
+            for c, rows in _rows_by_value([(step + i[ell]) % big for i in I]):
                 o, r = divmod(c, stride)
                 ph[rows, :n - o] += band[c::stride]  # band[r::stride][o:]
                 if o:
@@ -348,7 +386,7 @@ def _phases(ctx, I, d: int, lam: int, stride: int) -> np.ndarray:
 
 
 def _check_depth(ctx, lam):
-    lam = ctx.lam if lam is None else lam
+    lam = ctx.lam if lam is None else _integer("lam", lam)
     if lam < 0:
         raise ValueError("depth must be >= 0")
     budget_check("sum", ctx.q ** (lam + ctx.m - 1), "Fourier summation range")
@@ -360,51 +398,83 @@ _STACK_TERMS = 1 << 20
 
 
 class _KernelTables:
-    """e(-r/n) for r < n, one table per recent n, shared by every context.
+    """e(-r/n) for r < n, one table per recent n, shared by every context, and
+    beside each table the last kernel e(-h u/n), u < n, read from it.
 
     Each table is the elementwise np.exp(-2j pi r / n) of the r themselves,
     so reading it at r = h u mod n gives the bits np.exp gives on that r.
-    The least recently used tables are dropped once they hold more than
-    `terms` entries in all (16 bytes each); a longer table is returned
-    but not kept.
+    The kernel is keyed by h mod n, so the H and G sums of one check share
+    it.  Tables and kernels are read-only.  The least recently used tables,
+    with their kernels, are dropped once they hold more than `terms` entries
+    in all (16 bytes each); a longer table is returned but not kept, and a
+    kernel is kept only where it fits beside its table.
     """
 
     def __init__(self, terms: int):
-        self.terms, self.held, self.tables = terms, 0, {}
+        self.terms = terms
         self.lock = threading.Lock()
+        # an instance attribute, as on an lru_cache: code that calls
+        # cache_clear() on every module-level value also meets the class
+        self.cache_clear = self._clear
+        self._clear()
+
+    def _clear(self) -> None:
+        """Drop every table and kernel."""
+        with self.lock:
+            self.held, self.tables, self.kernels = 0, {}, {}
 
     def __call__(self, n: int) -> np.ndarray:
         with self.lock:
-            tab = self.tables.pop(n, None)
-            if tab is None:
-                tab = np.exp(-2j * np.pi * np.arange(n, dtype=np.int64) / n)
-                if n > self.terms:  # kept, it would push out every other table
-                    return tab
-                self.held += n
-            self.tables[n] = tab  # dicts keep insertion order: most recent last
-            while self.held > self.terms:
-                self.held -= len(self.tables.pop(next(iter(self.tables))))
+            return self._table(n)
+
+    def _table(self, n: int) -> np.ndarray:
+        tab = self.tables.pop(n, None)
+        if tab is None:
+            tab = np.exp(-2j * np.pi * np.arange(n, dtype=np.int64) / n)
+            tab.flags.writeable = False
+            if n > self.terms:  # kept, it would push out every other table
+                return tab
+            self.held += n
+        self.tables[n] = tab  # dicts keep insertion order: most recent last
+        self._trim()
         return tab
+
+    def _trim(self) -> None:
+        while self.held > self.terms:
+            n = next(iter(self.tables))
+            self.held -= len(self.tables.pop(n))
+            if self.kernels.pop(n, None) is not None:
+                self.held -= n
+
+    def kernel(self, h: int, n: int) -> np.ndarray:
+        """e(-h u/n) for u < n, read from the table at h u mod n.
+
+        With u = u1 + n1 u2 and n1 = ceil(sqrt n), h u mod n is the sum of
+        the short progressions h u1 mod n and (h n1 mod n) u2 mod n, less n
+        where it reaches n.  h is reduced mod n first, so every integer
+        product stays below n (sqrt n + 1) < 2^40 up to the hard sum limit
+        n = 2^26.
+        """
+        h %= n
+        with self.lock:
+            tab = self._table(n)
+            h_kept, ker = self.kernels.get(n, (None, None))
+            if h_kept == h:
+                return ker
+            n1 = math.isqrt(n - 1) + 1
+            idx = (h * n1 % n * np.arange(-(-n // n1), dtype=np.int64) % n)[:, None] \
+                + (h * np.arange(n1, dtype=np.int64) % n - n)
+            ker = tab[idx.reshape(-1)[:n]]  # an index in [-n, 0) reads entry + n
+            ker.flags.writeable = False
+            if 2 * n <= self.terms:  # then its table is kept, most recent
+                self.held += n * (h_kept is None)
+                self.kernels[n] = (h, ker)
+                self._trim()
+        return ker
 
 
 # Every table the default sum budget admits fits (docs/DECISIONS.md, 14).
 _kernel_table = _KernelTables(1 << 22)
-
-
-def _kernel(h: int, n: int) -> np.ndarray:
-    """e(-h u/n) for u < n, read from the cached table at h u mod n.
-
-    With u = u1 + n1 u2 and n1 = ceil(sqrt n), h u mod n is the sum of
-    the short progressions h u1 mod n and (h n1 mod n) u2 mod n, less n
-    where it reaches n.  h is reduced mod n first, so every integer
-    product stays below n (sqrt n + 1) < 2^40 up to the hard sum limit
-    n = 2^26.
-    """
-    h %= n
-    n1 = math.isqrt(n - 1) + 1
-    idx = (h * n1 % n * np.arange(-(-n // n1), dtype=np.int64) % n)[:, None] \
-        + (h * np.arange(n1, dtype=np.int64) % n - n)
-    return _kernel_table(n)[idx.reshape(-1)[:n]]  # an index in [-n, 0) reads entry + n
 
 
 def _fourier_sum(ctx, I, h: int, d: int, lam: int, stride: int) -> np.ndarray:
@@ -414,12 +484,14 @@ def _fourier_sum(ctx, I, h: int, d: int, lam: int, stride: int) -> np.ndarray:
     _STACK_TERMS terms; n = q^(lam+m-1)/stride.
     """
     n = ctx.q ** (lam + ctx.m - 1) // stride
-    kernel = _kernel(h, n)
+    kernel = _kernel_table.kernel(h, n)
     I = np.asarray(I, dtype=np.int64)
     flat, rows = I.reshape(-1, I.shape[-1]), max(1, _STACK_TERMS // n)
-    sums = [(ctx.phase_roots[_phases(ctx, flat[s:s + rows], d, lam, stride)] * kernel)
-            .sum(axis=-1) for s in range(0, len(flat), rows)]
-    return np.concatenate(sums).reshape(I.shape[:-1]) / n
+    sums = np.empty(len(flat), dtype=np.complex128)
+    for s in range(0, len(flat), rows):
+        sums[s:s + rows] = (ctx.phase_roots[_phases(ctx, flat[s:s + rows], d, lam, stride)]
+                            * kernel).sum(axis=-1)
+    return sums.reshape(I.shape[:-1]) / n
 
 
 def _G(ctx, I, h: int, d: int, lam: int) -> np.ndarray:
@@ -429,26 +501,20 @@ def _G(ctx, I, h: int, d: int, lam: int) -> np.ndarray:
 
 def fourier_H(ctx: FourierContext, I_prime, h: int, d: int, lam=None) -> complex:
     """H_lam^I(h, d) for I in the start-normalized index set."""
-    lam = _check_depth(ctx, lam)
-    if not is_start_index_vector(I_prime):
-        raise ValueError(f"{I_prime} is not a start-normalized offset vector")
-    return complex(_fourier_sum(ctx, I_prime, h, d, lam, 1))
+    h, d, lam = _integer("h", h), _integer("d", d), _check_depth(ctx, lam)
+    return complex(_fourier_sum(ctx, _offsets(ctx, I_prime, start=True), h, d, lam, 1))
 
 
 def fourier_G(ctx: FourierContext, I, h: int, d: int, lam=None) -> complex:
     """G_lam^I(h, d) for I in the full index set."""
-    lam = _check_depth(ctx, lam)
-    if not is_index_vector(I, ctx.q, ctx.m):
-        raise ValueError(f"{I} is not a valid offset vector")
-    return complex(_G(ctx, I, h, d, lam))
+    h, d, lam = _integer("h", h), _integer("d", d), _check_depth(ctx, lam)
+    return complex(_G(ctx, _offsets(ctx, I), h, d, lam))
 
 
 def fourier_G_all_h(ctx: FourierContext, I, d: int, lam=None) -> np.ndarray:
     """G_lam^I(h, d) for every h < q^lam at once (one FFT)."""
-    lam = _check_depth(ctx, lam)
-    if not is_index_vector(I, ctx.q, ctx.m):
-        raise ValueError(f"{I} is not a valid offset vector")
-    ph = _phases(ctx, [I], d, lam, ctx.q ** (ctx.m - 1))[0]
+    d, lam = _integer("d", d), _check_depth(ctx, lam)
+    ph = _phases(ctx, [_offsets(ctx, I)], d, lam, ctx.q ** (ctx.m - 1))[0]
     return np.fft.fft(ctx.phase_roots[ph]) / ctx.q ** lam
 
 
@@ -465,12 +531,14 @@ def h_recursion_residual(ctx: FourierContext, I_prime, h: int, d: int,
     J = J_{eps,delta}(I) = (i_l + l delta + eps)_l lands in the full
     index set; the residual is an exact-identity check.
     """
+    h, d, delta = _integer("h", h), _integer("d", d), _integer("delta", delta)
     lam = _check_depth(ctx, lam)
     shift = ctx.q ** (ctx.m - 1)
     if not 0 <= delta < shift:
         raise ValueError(f"delta must lie in [0, q^(m-1)), got {delta}")
+    I_prime = _offsets(ctx, I_prime, start=True)
     period = ctx.q ** (lam + ctx.m - 1)
-    lhs = fourier_H(ctx, I_prime, h, shift * d + delta, lam)
+    lhs = complex(_fourier_sum(ctx, I_prime, h, shift * d + delta, lam, 1))
     Js = [[i + ell * delta + eps for ell, i in enumerate(I_prime)]
           for eps in range(shift)]
     rhs = 0j
@@ -490,16 +558,18 @@ def g_recursion_residual(ctx: FourierContext, I, h: int, d: int, j: int,
     g_J = G_{lam-j}^J(h, d) over the full index set.  The t-th digit
     factor of M^j_delta sees z^(q^t) = e(-h/q^(lam-t)), reduced exactly.
     """
+    h, d, j, delta = (_integer(name, v) for name, v in
+                      (("h", h), ("d", d), ("j", j), ("delta", delta)))
     lam = _check_depth(ctx, lam)
     if not 1 <= j <= lam:
         raise ValueError(f"need 1 <= j <= lam, got j={j}")
     p = ctx.q ** j
     if not 0 <= delta < p:
         raise ValueError(f"delta must lie in [0, q^j), got {delta}")
-    Is = ctx.index_vectors()
-    lhs = fourier_G(ctx, I, h, p * d + delta, lam)
+    I, Is = _offsets(ctx, I), ctx.index_vectors()
+    lhs = complex(_G(ctx, I, h, p * d + delta, lam))
     A = _digit_matrices_at(ctx, -h, ctx.q ** lam, j)
-    row = _digit_products(ctx, A, [delta])[0, Is.index(tuple(I))]
+    row = _digit_products(ctx, A, [delta])[0, Is.index(I)]
     rhs = complex(row @ _G(ctx, Is, h, d, lam - j)) / p
     return abs(lhs - rhs)
 
@@ -839,13 +909,12 @@ def prop1_decay_profile(ctx: FourierContext, I_prime, h: int,
     ctx.require_nonzero_alpha("decay profile")
     if not ctx.alpha.is_integer_K:
         raise ValueError("average decay profile applies to integer K")
-    if not is_start_index_vector(I_prime):
-        raise ValueError(f"{I_prime} is not a start-normalized offset vector")
+    I_prime, h = _offsets(ctx, I_prime, start=True), _integer("h", h)
     lambda_grid = [int(lam) for lam in lambda_grid]
     if len(set(lambda_grid)) < 2:  # the fitted rate is a slope through the rows
         raise ValueError("lambda_grid needs at least two distinct depths")
     Is = ctx.index_vectors()
-    at = Is.index(tuple(I_prime)) * (len(Is) + 1)  # the (I', I') pair entry
+    at = Is.index(I_prime) * (len(Is) + 1)  # the (I', I') pair entry
     rows = []
     for lam in lambda_grid:
         lam_prime = (lam + 1) // 2
@@ -1064,6 +1133,22 @@ _WITNESS_GRID = np.exp(2j * np.pi * np.arange(256) / 256)
 _WITNESS_GRID.flags.writeable = False
 
 
+@lru_cache(maxsize=1 << 12)
+def _witness_grid_max(m_prime: int, argument: str, phases: tuple) -> float:
+    """The witness's weight-sum maximum over _WITNESS_GRID, memoized by its
+    whole input: m', the argument and the phase numerators.
+
+    "chain" phases (v0, v1, v2) give max_z |e(v0/m') + z e(v1/m') + z^2 e(v2/m')|,
+    "two-pair" phases ((a, b), (a', b')) give max_z of |e(a/m') + z e(b/m')| +
+    |e(a'/m') + z e(b'/m')|.
+    """
+    roots, zg = roots_of_unity(m_prime), _WITNESS_GRID
+    if argument == "chain":
+        v0, v1, v2 = phases
+        return float(np.abs(roots[v0] + zg * roots[v1] + zg ** 2 * roots[v2]).max())
+    return float(sum(np.abs(roots[a] + zg * roots[b]) for a, b in phases).max())
+
+
 def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     """Build and verify the saving certificate for one (I, delta).
 
@@ -1083,12 +1168,11 @@ def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     ctx.require_nonzero_alpha("saving witness")
     if ctx.alpha.is_integer_K:
         raise ValueError("saving witness applies to non-integer K")
-    if not is_index_vector(I, ctx.q, ctx.m):
-        raise ValueError(f"{I} is not a valid offset vector")
+    I, delta = _offsets(ctx, I), _integer("delta", delta)
     q, m, k, mp = ctx.q, ctx.m, ctx.k, ctx.m_prime
     m1 = ctx.m1_single()
     step = 4 * m - 2
-    dd = int(delta) % q ** m1
+    dd = delta % q ** m1
     shift = q ** (m - 1)
 
     keys = [I[ell] // shift + dd * ell for ell in range(k)]
@@ -1117,7 +1201,7 @@ def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     eps = [(q ** (x0 + m - 1) * (e + 1) - c0_plus - 1) % pm1p for e in (e1, e2)]
     wrapped = any(e + 1 == pm1p for e in eps)
 
-    delta_red = int(delta) % pm1p
+    delta_red = delta % pm1p
     clause_T = all(
         _T(ctx, I, e, delta_red, m1p) == _T(ctx, I, (e + 1) % pm1p, delta_red, m1p)
         for e in eps
@@ -1129,7 +1213,6 @@ def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
     xi = [(b - a) % mp for a, b in ph]
     xi_gap = (xi[0] - xi[1]) % mp
 
-    zg = _WITNESS_GRID
     gap = (eps[1] - eps[0]) % pm1p
     if gap in (1, pm1p - 1):
         # the pairs share an eps: bound the chain s, s+1, s+2 as a whole,
@@ -1138,21 +1221,17 @@ def find_saving_witness(ctx: FourierContext, I, delta: int) -> WitnessRecord:
         eta_p = eta_chain(mp)
         first = 0 if gap == 1 else 1
         (v0, v1), (_, v2) = ph[first], ph[1 - first]
-        chain = ctx.roots[v0] + zg * ctx.roots[v1] + zg ** 2 * ctx.roots[v2]
-        max_pair = float(np.abs(chain).max())
+        max_pair = _witness_grid_max(mp, argument, (v0, v1, v2))
         bounded = eps[first] + 2 < pm1p and max_pair <= 3.0 - eta_p + _TOL
     else:
         argument = "two-pair"
         eta_p = eta_pair_witness(mp)
-        pair_sums = sum(
-            np.abs(ctx.roots[a] + zg * ctx.roots[b]) for a, b in ph
-        )
-        max_pair = float(pair_sums.max())
+        max_pair = _witness_grid_max(mp, argument, tuple(ph))
         bounded = max_pair <= 4.0 - eta_p + _TOL
     clause_v = xi_gap != 0 and bounded
 
     record = WitnessRecord(
-        I=tuple(I), delta=int(delta), d_key=dd, x0=x0, c0=c0, c0_plus=c0_plus,
+        I=I, delta=delta, d_key=dd, x0=x0, c0=c0, c0_plus=c0_plus,
         e1=e1, e2=e2, d=d, eps1=eps[0], eps2=eps[1], m1_prime=m1p,
         beta_c0_num=beta_num, eta_prime=eta_p, xi_gap_num=xi_gap,
         max_pair_sum=max_pair, clause_T_ok=clause_T, clause_v_ok=clause_v,
@@ -1199,8 +1278,7 @@ def prop2_decay_check(ctx: FourierContext, I_prime, h: int, d: int,
     ctx.require_nonzero_alpha("uniform decay check")
     if ctx.alpha.is_integer_K:
         raise ValueError("uniform decay check applies to non-integer K")
-    if not is_start_index_vector(I_prime):
-        raise ValueError(f"{I_prime} is not a start-normalized offset vector")
+    I_prime, h, d = _offsets(ctx, I_prime, start=True), _integer("h", h), _integer("d", d)
     L_grid = [int(L) for L in L_grid]
     if not L_grid:
         raise ValueError("L_grid must not be empty")

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import digitseq as dq
 from digitseq import fourier as fx
 from digitseq.budget import BudgetExceededError
 from digitseq.normality import AlphaVector
-from digitseq.phases import e_frac, frac_norm
+from digitseq.phases import e_frac, frac_norm, roots_of_unity
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +254,71 @@ def test_H_rejects_non_start_vector(rs_ctx):
         fx.fourier_H(rs_ctx, (1, 2), 0, 0, 4)
 
 
+def test_numpy_offset_vectors_match_tuples(rs_ctx, rs_half_ctx, tm_ctx):
+    # a 1-D integer sequence of any kind is an offset vector; every entry
+    # point gives the bits of the tuple form
+    assert fx.fourier_G(tm_ctx, np.array([0]), 3, 5, 4) == fx.fourier_G(tm_ctx, (0,), 3, 5, 4)
+    assert fx.find_saving_witness(tm_ctx, np.array([0]), 3) == fx.find_saving_witness(tm_ctx, (0,), 3)
+    for ctx in (rs_ctx, rs_half_ctx):
+        for I, row in zip(ctx.index_vectors(), np.array(ctx.index_vectors())):
+            for vec in (row, row.astype(np.uint8), list(row)):
+                assert fx.is_index_vector(vec, 2, 2)
+                assert fx.fourier_G(ctx, vec, 7, 3, 5) == fx.fourier_G(ctx, I, 7, 3, 5)
+                assert fx.g_recursion_residual(ctx, vec, 7, 3, 2, 1, 5) \
+                    == fx.g_recursion_residual(ctx, I, 7, 3, 2, 1, 5)
+                assert fx.transform_T(ctx, vec, 3, 1, 2) == fx.transform_T(ctx, I, 3, 1, 2)
+                assert fx.parseval_sum(ctx, vec, 3, 5) == fx.parseval_sum(ctx, I, 3, 5)
+                if not ctx.alpha.is_integer_K:
+                    assert fx.find_saving_witness(ctx, vec, 9).to_dict() \
+                        == fx.find_saving_witness(ctx, I, 9).to_dict()
+        for Ip, row in zip(ctx.start_vectors(), np.array(ctx.start_vectors())):
+            assert fx.is_start_index_vector(row)
+            assert fx.fourier_H(ctx, row, 7, 3, 5) == fx.fourier_H(ctx, Ip, 7, 3, 5)
+            assert fx.h_recursion_residual(ctx, row, 7, 3, 1, 5) \
+                == fx.h_recursion_residual(ctx, Ip, 7, 3, 1, 5)
+    record = fx.find_saving_witness(rs_half_ctx, np.array([1, 2]), np.int8(9))
+    assert type(record.I[0]) is int and type(record.delta) is int
+    json.dumps(record.to_dict())
+    # a row of floats, a stack, a scalar, a string or a vector of the wrong length
+    for bad in (np.array([0.0, 1.0]), np.array([[0, 1]]), 0, "01", (0,), (0, 1, 1)):
+        assert not (fx.is_index_vector(bad, 2, 2) and len(bad) == 2)
+        with pytest.raises(ValueError, match="is not a valid offset vector"):
+            fx.fourier_G(rs_ctx, bad, 0, 0, 4)
+        with pytest.raises(ValueError, match="is not a start-normalized offset vector"):
+            fx.fourier_H(rs_ctx, bad, 0, 0, 4)
+
+
+def test_h_d_and_delta_must_be_integers(rs_ctx, rs_half_ctx):
+    # integers of any type and width reach the exact reduction as Python
+    # ints; a float is refused with a TypeError that names the argument
+    I, Ip, big = (0, 1), (0, 1), 2 ** 63 + 5
+    assert fx.fourier_G(rs_ctx, I, np.uint64(big), np.int32(3), 5) == fx.fourier_G(rs_ctx, I, big, 3, 5)
+    assert fx.fourier_H(rs_ctx, Ip, np.uint64(big), np.int8(3), 5) == fx.fourier_H(rs_ctx, Ip, big, 3, 5)
+    assert fx.g_recursion_residual(rs_ctx, I, np.uint64(big), np.int64(3), np.int16(2),
+                                   np.uint8(1), np.int64(5)) \
+        == fx.g_recursion_residual(rs_ctx, I, big, 3, 2, 1, 5)
+    assert fx.h_recursion_residual(rs_ctx, Ip, np.uint64(big), 3, np.uint8(1), 5) \
+        == fx.h_recursion_residual(rs_ctx, Ip, big, 3, 1, 5)
+    assert fx.parseval_sum(rs_ctx, I, np.uint64(big), 5) == fx.parseval_sum(rs_ctx, I, big, 5)
+    calls = {
+        "h": [lambda v: fx.fourier_G(rs_ctx, I, v, 3, 5), lambda v: fx.fourier_H(rs_ctx, Ip, v, 3, 5),
+              lambda v: fx.g_recursion_residual(rs_ctx, I, v, 3, 2, 1, 5),
+              lambda v: fx.h_recursion_residual(rs_ctx, Ip, v, 3, 1, 5)],
+        "d": [lambda v: fx.fourier_G(rs_ctx, I, 7, v, 5), lambda v: fx.fourier_H(rs_ctx, Ip, 7, v, 5),
+              lambda v: fx.parseval_sum(rs_ctx, I, v, 5),
+              lambda v: fx.g_recursion_residual(rs_ctx, I, 7, v, 2, 1, 5)],
+        "delta": [lambda v: fx.g_recursion_residual(rs_ctx, I, 7, 3, 2, v, 5),
+                  lambda v: fx.h_recursion_residual(rs_ctx, Ip, 7, 3, v, 5),
+                  lambda v: fx.find_saving_witness(rs_half_ctx, I, v),
+                  lambda v: fx.transform_T(rs_ctx, I, 0, v, 2)],
+    }
+    for name, fns in calls.items():
+        for fn in fns:
+            for bad in (2.0, np.float64(3), 1.5, "3"):
+                with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+                    fn(bad)
+
+
 def reference_phases(ctx, I, d, lam, stride, n):
     """sum_l num_l b_lam(stride (u + l d) + i_l) mod m' by %-indexed gathers."""
     big = ctx.q ** (lam + ctx.m - 1)
@@ -276,6 +342,12 @@ def reference_fourier_sum(ctx, I, h, d, lam, stride, n):
     sums = [(ctx.roots[reference_phases(ctx, flat[s:s + rows], d, lam, stride, n)] * kernel)
             .sum(axis=-1) for s in range(0, len(flat), rows)]
     return np.concatenate(sums).reshape(I.shape[:-1]) / n
+
+
+def held_entries(tables):
+    """Entries of every table and every kept kernel of a _KernelTables."""
+    return sum(map(len, tables.tables.values())) \
+        + sum(len(ker) for _, ker in tables.kernels.values())
 
 
 def _pair_function(q):
@@ -318,8 +390,7 @@ def test_fourier_sums_match_reference_bit_for_bit(qm, k, rng):
         for d in (0, 5, 2 ** 66 + 1):
             want = np.fft.fft(ctx.roots[reference_phases(ctx, Is[-1], d, lam, shift, n)]) / n
             assert np.array_equal(fx.fourier_G_all_h(ctx, Is[-1], d, lam), want)
-    held = fx._kernel_table
-    assert held.held == sum(map(len, held.tables.values())) <= held.terms
+    assert fx._kernel_table.held == held_entries(fx._kernel_table) <= fx._kernel_table.terms
 
 
 def test_fourier_sum_stack_past_stack_terms_bit_for_bit():
@@ -378,12 +449,149 @@ def test_kernel_tables_stay_within_their_bound():
     for n in list(range(1, 200)) + [600, 3, 300, 1500]:
         tab = tables(n)
         assert np.array_equal(tab, np.exp(-2j * np.pi * np.arange(n) / n))
-        assert tables.held == sum(map(len, tables.tables.values())) <= 1000
+        assert tables.held == held_entries(tables) <= 1000
     # a table past the bound is not kept; the least recently used go first
     assert list(tables.tables) == [600, 3, 300]
     assert tables(600) is tables.tables[600]
     tables(200)
     assert list(tables.tables) == [600, 200] and tables.held == 800
+    # a kernel is kept beside its table and counted with it, one per residue of h
+    ker = tables.kernel(7, 200)
+    assert np.array_equal(ker, np.exp(-2j * np.pi * (7 * np.arange(200) % 200) / 200))
+    assert list(tables.kernels) == [200] and tables.held == held_entries(tables) == 1000
+    assert tables.kernel(7 - 200, 200) is ker and tables.kernel(7 + 200 * 2 ** 70, 200) is ker
+    # 600 entries twice pass the bound: that kernel is formed, not kept
+    tables.kernel(5, 600)
+    assert list(tables.kernels) == [200] and list(tables.tables) == [200, 600]
+    # a new table pushes out the least recent table with its kernel
+    tables(100)
+    assert list(tables.tables) == [600, 100] and tables.kernels == {} and tables.held == 700
+    for n in list(range(1, 120)) + [1500, 250]:
+        for h in (1, -1, 2 ** 64 + 1):
+            assert np.array_equal(tables.kernel(h, n),
+                                  np.exp(-2j * np.pi * ((h % n) * np.arange(n) % n) / n))
+            assert tables.held == held_entries(tables) <= 1000
+            assert set(tables.kernels) <= set(tables.tables)
+    assert 1500 not in tables.tables and list(tables.tables)[-1] == 250
+    tables.cache_clear()
+    assert (tables.held, tables.tables, tables.kernels) == (0, {}, {})
+
+
+def test_held_kernels_and_bands_are_read_only():
+    ctx = fx.make_context(dq.preset("digit-sum", q=3, m_prime=3), AlphaVector((1, 2), 3), 3)
+    fx.fourier_G(ctx, (0, 1), 5, 2, 3)
+    held = [fx._kernel_table(27), fx._kernel_table.kernel(5, 27), ctx.reduced_band(3, 2)]
+    assert fx._kernel_table.kernels[27][1] is held[1]
+    for arr in held:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_module_caches_clear_from_outside():
+    # every module-level value with a cache_clear clears with no argument, as
+    # a harness clearing the package's memos calls it; the Fourier layer then
+    # starts cold
+    ctx = fx.make_context(dq.preset("thue-morse"), AlphaVector((1,), 2), 6)
+    fx.fourier_G(ctx, (0,), 3, 1, 6)
+    fx.find_saving_witness(ctx, (0,), 3)
+    assert fx._kernel_table.kernels and fx._witness_grid_max.cache_info().currsize
+    for value in list(vars(fx).values()):
+        if callable(getattr(value, "cache_clear", None)):
+            value.cache_clear()
+    assert (fx._kernel_table.held, fx._kernel_table.tables, fx._kernel_table.kernels) == (0, {}, {})
+    assert fx._witness_grid_max.cache_info().currsize == 0
+
+
+def test_witness_grid_maxima_are_the_grid_maxima():
+    # the memo gives the bits of the grid maximum, over a bounded set of keys
+    roots, zg = roots_of_unity(5), fx._WITNESS_GRID
+    for v in itertools.product(range(5), repeat=3):
+        want = float(np.abs(roots[v[0]] + zg * roots[v[1]] + zg ** 2 * roots[v[2]]).max())
+        assert fx._witness_grid_max(5, "chain", v) == want
+    ph = ((1, 4), (0, 2))
+    want = float((np.abs(roots[1] + zg * roots[4]) + np.abs(roots[0] + zg * roots[2])).max())
+    assert fx._witness_grid_max(5, "two-pair", ph) == want == fx._witness_grid_max(5, "two-pair", ph)
+    assert fx._witness_grid_max.cache_info().maxsize == 1 << 12
+
+
+def test_G_on_an_empty_stack(rs_ctx):
+    for shape in ((0, 2), (3, 0, 2)):
+        got = fx._G(rs_ctx, np.empty(shape, dtype=np.int64), 5, 3, 4)
+        assert got.shape == shape[:-1] and got.dtype == np.complex128
+
+
+def _non_integer_K(f, k):
+    """Nonzero numerators with a non-integer K, a coefficient 2 where m' = 3."""
+    return {2: [(1,), (0, 1), (1, 1, 1)], 3: [(2,), (2, 2), (1, 2, 2)]}[f.m_prime][k - 1]
+
+
+def _cache_state_calls(ctx, rng):
+    """(name, call) pairs over every checked entry point, each h at its aliases
+    h, h + P, h - P and h + 2^64 P for P = q^(lam+m-1), and at h + 2^64."""
+    q, m, shift = ctx.q, ctx.m, ctx.q ** (ctx.m - 1)
+    Is, starts = ctx.index_vectors(), ctx.start_vectors()
+    calls = []
+    for lam in (1, 2, 3):
+        P = q ** (lam + m - 1)
+        I, Ip = Is[int(rng.integers(0, len(Is)))], starts[-1]
+        d, j = int(rng.integers(0, 4 * P)), 1 + lam // 2
+        delta, dsmall = int(rng.integers(0, q ** j)), int(rng.integers(0, shift))
+        h0 = int(rng.integers(0, P))
+        for h in (h0, h0 + P, h0 - P, h0 + 2 ** 64 * P, h0 + 2 ** 64):
+            calls += [
+                (("G", lam, h), partial(fx.fourier_G, ctx, I, h, d, lam)),
+                (("H", lam, h), partial(fx.fourier_H, ctx, Ip, h, d, lam)),
+                (("stack", lam, h), partial(_stack, ctx, Is, h, d, lam)),
+                (("g_res", lam, h), partial(fx.g_recursion_residual, ctx, I, h, d, j, delta, lam)),
+                (("h_res", lam, h), partial(fx.h_recursion_residual, ctx, Ip, h, d, dsmall, lam)),
+            ]
+        calls.append((("parseval", lam), partial(fx.parseval_sum, ctx, I, d, lam)))
+    p = q ** ctx.m1_single()
+    for I in Is[:4]:
+        for delta in (0, 1, int(rng.integers(0, p)), p + 3):
+            calls.append((("witness", (I, delta)), partial(_witness, ctx, I, delta)))
+    return calls
+
+
+def _stack(*args):
+    return fx._G(*args).tolist()
+
+
+def _witness(*args):
+    return fx.find_saving_witness(*args).to_dict()
+
+
+def _clear_fourier_caches():
+    fx._kernel_table.cache_clear()
+    fx._witness_grid_max.cache_clear()
+
+
+@pytest.mark.parametrize("preset", ["thue-morse", "rudin-shapiro", "digit-sum:3,3"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cache_state_changes_nothing(preset, k):
+    # the held kernels, reduced bands and witness maxima give every value the
+    # bits a cold call gives: cold, warm, in reverse order and at aliased h
+    f = dq.parse_preset(preset)
+    fresh = lambda: fx.make_context(f, AlphaVector(_non_integer_K(f, k), f.m_prime), 3)
+    calls = lambda ctx: _cache_state_calls(ctx, np.random.default_rng(29))
+    cold = {}
+    for i, (name, _) in enumerate(calls(fresh())):  # a fresh context a call, every memo empty
+        _clear_fourier_caches()
+        cold[name] = calls(fresh())[i][1]()
+    ctx = fresh()
+    _clear_fourier_caches()
+    warm = dict((name, call()) for name, call in calls(ctx))
+    assert warm == cold
+    assert dict((name, call()) for name, call in calls(ctx)) == cold  # every memo warm
+    _clear_fourier_caches()
+    ctx = fresh()
+    assert dict((name, call()) for name, call in calls(ctx)[::-1]) == cold
+    # h, h + P, h - P and h + 2^64 P are one h to every sum
+    by_sum = {}
+    for name, value in cold.items():
+        if len(name) == 3:  # (kind, lam, h), in the order h0, h0 + P, h0 - P, ...
+            by_sum.setdefault(name[:2], []).append(value)
+    assert all(values[1:4] == values[:1] * 3 for values in by_sum.values())
 
 
 # ----------------------------------------------------------------------
